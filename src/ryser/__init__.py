@@ -24,7 +24,6 @@ from .colored import (
     canonical_form_colored,
     components_of,
     contract_full_color_classes,
-    delete_color,
     gyarfas_graph,
     is_valid_component_cover,
     isomorphic_colored,
@@ -115,7 +114,6 @@ __all__ = [
     "contract_full_color_classes",
     "cover_t",
     "coverage_bound",
-    "delete_color",
     "dual",
     "gen_delta2",
     "gen_t_intersecting_hypergraph",

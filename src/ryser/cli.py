@@ -483,7 +483,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (FormatError, PreconditionError, FileNotFoundError) as exc:
+    except (FormatError, PreconditionError, FileNotFoundError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (HypothesisViolation, AssertionError, RyserError) as exc:

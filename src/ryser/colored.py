@@ -6,6 +6,13 @@ on uw. Transitive colorings are exactly systems of r vertex partitions, and
 the monochromatic components of color i are the blocks of partition i, which
 are cliques in that color.
 
+A graph keeps those partitions as r label arrays: labels[c][v] is the
+smallest vertex of v's color-(c+1) component. Producers that already hold
+partitions (generators, blowups, the Gyarfas graph, closure, contraction,
+coarsening) build through ColoredCompleteGraph.from_labels, transitive by
+construction; mask input (CGF files, possibly non-transitive) goes through
+the constructor, whose union-find derives the same labels.
+
 Includes the edge-intersection construction that turns an r-partite
 intersecting hypergraph into such a graph (vertices = hyperedges, colors =
 the partite classes where two hyperedges meet), the CGF text format, and
@@ -17,27 +24,72 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import factorial
-from typing import Iterable, Optional, Sequence
+from typing import Hashable, Iterable, Optional, Sequence
 
 from .errors import FormatError, PreconditionError
+from .graphs import iter_bits
 from .hypergraph import Hypergraph, validate
 
 MAX_COLORS = 30
 
 
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+def _min_labels(labels: Sequence[Sequence[Hashable]]) -> tuple[tuple[int, ...], ...]:
+    """Relabel each partition so that a block's label is its smallest vertex."""
+    if not 1 <= len(labels) <= MAX_COLORS:
+        raise PreconditionError(f"r must be in 1..{MAX_COLORS}, got {len(labels)}")
+    n = len(labels[0])
+    if n < 1:
+        raise PreconditionError("need at least one vertex")
+    out = []
+    for row in labels:
+        if len(row) != n:
+            raise PreconditionError("every color needs one label per vertex")
+        first: dict = {}
+        out.append(tuple([first.setdefault(x, v) for v, x in enumerate(row)]))
+    return tuple(out)
+
+
+def _blocks(row: Sequence[int]) -> dict[int, list[int]]:
+    """Label -> sorted members; insertion order is by smallest member."""
+    blocks: dict[int, list[int]] = {}
+    for v, x in enumerate(row):
+        blocks.setdefault(x, []).append(v)
+    return blocks
+
+
+def _label_masks(labels: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Mask matrix of a partition system: color c on uv iff u, v share a block."""
+    n = len(labels[0])
+    masks = [[0] * n for _ in range(n)]
+    for c, row in enumerate(labels):
+        bit = 1 << c
+        for block in _blocks(row).values():
+            if len(block) == 1:
+                continue
+            for u in block:
+                mu = masks[u]
+                for v in block:
+                    mu[v] |= bit
+    for u in range(n):
+        masks[u][u] = 0
+    return masks
+
+
+def _first_colorless(masks: Sequence[list[int]]) -> Optional[tuple[int, int]]:
+    """Lexicographically first pair u < v carrying no color, if any."""
+    for u, row in enumerate(masks):
+        if row.count(0) > 1:  # the diagonal is one zero
+            return u, row.index(0, u + 1)
+    return None
 
 
 class ColoredCompleteGraph:
     """Complete graph on vertices 0..n-1 with color-set masks on every pair.
 
-    The component index (per color: the partition of V into monochromatic
-    components) and the transitivity flag are computed eagerly at
-    construction, so concurrent readers always see a fully built index.
+    The label arrays (labels[c][v]: the smallest vertex of v's color-(c+1)
+    component), the component index read from them and the transitivity
+    flag are computed eagerly at construction, so concurrent readers always
+    see a fully built index.
     """
 
     def __init__(self, n: int, r: int, masks: Sequence[Sequence[int]]):
@@ -45,8 +97,6 @@ class ColoredCompleteGraph:
             raise PreconditionError("need at least one vertex")
         if not 1 <= r <= MAX_COLORS:
             raise PreconditionError(f"r must be in 1..{MAX_COLORS}, got {r}")
-        self.n = n
-        self.r = r
         full = (1 << r) - 1
         mm: list[list[int]] = [[0] * n for _ in range(n)]
         for u in range(n):
@@ -61,22 +111,46 @@ class ColoredCompleteGraph:
                 if x & ~full:
                     raise PreconditionError(f"pair ({u},{v}) uses a color outside 1..{r}")
                 mm[u][v] = x
-        self.masks = mm
-        self._components = self._build_components()
+        self._set(mm, self._union_find(n, r, mm))
         self.transitive = self._check_transitive()
 
-    def mask(self, u: int, v: int) -> int:
-        return self.masks[u][v]
+    @classmethod
+    def from_labels(cls, labels: Sequence[Sequence[Hashable]]) -> "ColoredCompleteGraph":
+        """The coloring of r partitions: labels[c][v] names v's block in color
+        c+1 (any hashable; blocks are relabeled by their smallest vertex).
+        Transitive by construction; every pair must share some block."""
+        labels = _min_labels(labels)
+        masks = _label_masks(labels)
+        bad = _first_colorless(masks)
+        if bad is not None:
+            raise PreconditionError(f"pair {bad} carries no color")
+        return cls._of_partitions(masks, labels)
 
-    def col(self, u: int, v: int) -> frozenset[int]:
-        """Colors of the pair uv, 1-based."""
-        return frozenset(b + 1 for b in _bits(self.masks[u][v]))
+    @classmethod
+    def _of_partitions(cls, masks: list[list[int]], labels: tuple[tuple[int, ...], ...]) -> "ColoredCompleteGraph":
+        """Graph from smallest-vertex labels and the masks they induce."""
+        g = cls.__new__(cls)
+        g._set(masks, labels)
+        g.transitive = True
+        return g
 
-    def _build_components(self) -> tuple[tuple[frozenset[int], ...], ...]:
-        per_color = []
-        for c in range(self.r):
+    def _set(self, masks: list[list[int]], labels: tuple[tuple[int, ...], ...]) -> None:
+        """Store masks and labels, and index each label's block."""
+        self.n = len(masks)
+        self.r = len(labels)
+        self.masks = masks
+        self.labels = labels
+        blocks = [_blocks(row) for row in labels]
+        self._by_label = tuple({x: frozenset(vs) for x, vs in b.items()} for b in blocks)
+        self._components = tuple(tuple(d.values()) for d in self._by_label)
+
+    @staticmethod
+    def _union_find(n: int, r: int, masks: list[list[int]]) -> tuple[tuple[int, ...], ...]:
+        """Per color, the smallest vertex of each vertex's connected component."""
+        labels = []
+        for c in range(r):
             bit = 1 << c
-            parent = list(range(self.n))
+            parent = list(range(n))
 
             def find(x: int) -> int:
                 while parent[x] != x:
@@ -84,19 +158,22 @@ class ColoredCompleteGraph:
                     x = parent[x]
                 return x
 
-            for u in range(self.n):
-                mu = self.masks[u]
-                for v in range(u + 1, self.n):
+            for u in range(n):
+                mu = masks[u]
+                for v in range(u + 1, n):
                     if mu[v] & bit:
                         ru, rv = find(u), find(v)
                         if ru != rv:
                             parent[max(ru, rv)] = min(ru, rv)
-            blocks: dict[int, list[int]] = {}
-            for v in range(self.n):
-                blocks.setdefault(find(v), []).append(v)
-            comps = tuple(frozenset(blocks[k]) for k in sorted(blocks))
-            per_color.append(comps)
-        return tuple(per_color)
+            labels.append(tuple(find(v) for v in range(n)))
+        return tuple(labels)
+
+    def mask(self, u: int, v: int) -> int:
+        return self.masks[u][v]
+
+    def col(self, u: int, v: int) -> frozenset[int]:
+        """Colors of the pair uv, 1-based."""
+        return frozenset(b + 1 for b in iter_bits(self.masks[u][v]))
 
     def _check_transitive(self) -> bool:
         for c in range(self.r):
@@ -111,10 +188,7 @@ class ColoredCompleteGraph:
     def component_of(self, v: int, color: int) -> frozenset[int]:
         if not 1 <= color <= self.r:
             raise PreconditionError(f"color {color} out of range 1..{self.r}")
-        for comp in self._components[color - 1]:
-            if v in comp:
-                return comp
-        raise AssertionError("component index does not partition V")
+        return self._by_label[color - 1][self.labels[color - 1][v]]
 
     def __repr__(self) -> str:
         return f"ColoredCompleteGraph(n={self.n}, r={self.r}, transitive={self.transitive})"
@@ -258,49 +332,28 @@ def gyarfas_graph(h: Hypergraph):
     for ci, c in enumerate(h.classes):
         for v in c:
             class_of[v] = ci
-    reps: list[list[Optional[str]]] = []
-    for e in h.edges:
-        row: list[Optional[str]] = [None] * h.r
+    tokens: list[list[Optional[str]]] = [[None] * h.m for _ in range(h.r)]
+    for a, e in enumerate(h.edges):
         for v in e:
-            row[class_of[v]] = v
-        reps.append(row)
-    n = h.m
-    masks = [[0] * n for _ in range(n)]
-    witness = None
-    for a in range(n):
-        for b in range(a + 1, n):
-            m = 0
-            for ci in range(h.r):
-                if reps[a][ci] == reps[b][ci]:
-                    m |= 1 << ci
-            masks[a][b] = masks[b][a] = m
-            if m == 0 and witness is None:
-                witness = (a, b)
+            tokens[class_of[v]][a] = v  # the class-i vertex labels edge a's block
+    labels = _min_labels(tokens)
+    masks = _label_masks(labels)
+    witness = _first_colorless(masks)
     if witness is not None:
         col = {}
-        for a in range(n):
-            for b in range(a + 1, n):
+        for a in range(h.m):
+            for b in range(a + 1, h.m):
                 if masks[a][b]:
-                    col[(a, b)] = frozenset(x + 1 for x in _bits(masks[a][b]))
-        return PartialColoredGraph(n, h.r, col, witness)
-    return ColoredCompleteGraph(n, h.r, masks)
+                    col[(a, b)] = frozenset(x + 1 for x in iter_bits(masks[a][b]))
+        return PartialColoredGraph(h.m, h.r, col, witness)
+    return ColoredCompleteGraph._of_partitions(masks, labels)
 
 
 def transitive_closure(g: ColoredCompleteGraph) -> ColoredCompleteGraph:
     """Smallest transitive coloring containing g: color i is added to every
     pair lying in one connected component of color i. Idempotent, and the
     components themselves are unchanged."""
-    masks = [[0] * g.n for _ in range(g.n)]
-    for c in range(g.r):
-        bit = 1 << c
-        for comp in g._components[c]:
-            vs = sorted(comp)
-            for u, v in itertools.combinations(vs, 2):
-                masks[u][v] |= bit
-                masks[v][u] |= bit
-    out = ColoredCompleteGraph(g.n, g.r, masks)
-    assert out.transitive
-    return out
+    return ColoredCompleteGraph.from_labels(g.labels)
 
 
 def contract_full_color_classes(g: ColoredCompleteGraph):
@@ -308,42 +361,20 @@ def contract_full_color_classes(g: ColoredCompleteGraph):
 
     Returns (contracted graph, mapping) where mapping[i] is the frozenset of
     original vertices behind contracted vertex i. Transitivity makes the
-    full-color relation an equivalence, and the induced color sets are
-    well-defined (asserted); the result has no full-color pair unless it is
-    a single vertex.
+    full-color relation an equivalence: its classes are the vertices with
+    equal label tuples, and the contracted vertex keeps their labels. The
+    result has no full-color pair unless it is a single vertex; when nothing
+    contracts it is g itself.
     """
     if not g.transitive:
         raise PreconditionError("contraction needs a transitive coloring")
-    full = (1 << g.r) - 1
-    parent = list(range(g.n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if g.masks[u][v] == full:
-                ru, rv = find(u), find(v)
-                if ru != rv:
-                    parent[max(ru, rv)] = min(ru, rv)
-    blocks: dict[int, list[int]] = {}
-    for v in range(g.n):
-        blocks.setdefault(find(v), []).append(v)
-    mapping = tuple(frozenset(blocks[k]) for k in sorted(blocks))
-    reps = [min(b) for b in mapping]
-    k = len(mapping)
-    masks = [[0] * k for _ in range(k)]
-    for i in range(k):
-        for j in range(i + 1, k):
-            m = g.masks[reps[i]][reps[j]]
-            for u in mapping[i]:
-                for v in mapping[j]:
-                    assert g.masks[u][v] == m, "contraction color sets are not well-defined"
-            masks[i][j] = masks[j][i] = m
-    return ColoredCompleteGraph(k, g.r, masks), mapping
+    classes: dict[tuple[int, ...], list[int]] = {}
+    for v, key in enumerate(zip(*g.labels)):
+        classes.setdefault(key, []).append(v)
+    mapping = tuple(frozenset(vs) for vs in classes.values())
+    if len(mapping) == g.n:
+        return g, mapping
+    return ColoredCompleteGraph.from_labels(list(zip(*classes))), mapping
 
 
 def lift_cover(cover: ComponentCover, mapping: Sequence[frozenset[int]]) -> ComponentCover:
@@ -360,46 +391,21 @@ def lift_cover(cover: ComponentCover, mapping: Sequence[frozenset[int]]) -> Comp
     return ComponentCover.build(parts, common_vertex=common)
 
 
-def delete_color(g: ColoredCompleteGraph, color: int) -> ColoredCompleteGraph:
-    """Drop one color; colors above it shift down by one. Errors if some pair
-    would be left colorless."""
-    if not 1 <= color <= g.r:
-        raise PreconditionError(f"color {color} out of range 1..{g.r}")
-    if g.r == 1:
-        raise PreconditionError("cannot delete the only color")
-    bit = 1 << (color - 1)
-    low = bit - 1
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if g.masks[u][v] == bit:
-                raise PreconditionError(f"pair ({u},{v}) carries only color {color}")
-    masks = [[0] * g.n for _ in range(g.n)]
-    for u in range(g.n):
-        for v in range(g.n):
-            if u == v:
-                continue
-            m = g.masks[u][v]
-            masks[u][v] = (m & low) | ((m >> 1) & ~low)
-    return ColoredCompleteGraph(g.n, g.r - 1, masks)
-
-
 def merge_color_components(g: ColoredCompleteGraph, color: int, a: int, b: int) -> ColoredCompleteGraph:
     """Coarsen one color's partition by merging its components #a and #b
     (indices into the component list). Preserves transitivity."""
     if not g.transitive:
         raise PreconditionError("coarsening needs a transitive coloring")
+    if not 1 <= color <= g.r:
+        raise PreconditionError(f"color {color} out of range 1..{g.r}")
     comps = g._components[color - 1]
     if not (0 <= a < len(comps) and 0 <= b < len(comps) and a != b):
         raise PreconditionError(f"color {color} has {len(comps)} components; cannot merge {a} and {b}")
-    bit = 1 << (color - 1)
-    masks = [row[:] for row in g.masks]
-    for u in comps[a]:
-        for v in comps[b]:
-            masks[u][v] |= bit
-            masks[v][u] |= bit
-    out = ColoredCompleteGraph(g.n, g.r, masks)
-    assert out.transitive
-    return out
+    labels = [list(row) for row in g.labels]
+    keep = min(comps[a])
+    for v in comps[b]:
+        labels[color - 1][v] = keep
+    return ColoredCompleteGraph.from_labels(labels)
 
 
 # -- CGF text format ----------------------------------------------------------
@@ -411,8 +417,9 @@ def merge_color_components(g: ColoredCompleteGraph, color: int, a: int, b: int) 
 def parse_cgf(text: str) -> ColoredCompleteGraph:
     n = r = None
     masks: Optional[list[list[int]]] = None
-    seen: set[tuple[int, int]] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    pairs = 0
+    lines = text.splitlines()
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -430,6 +437,8 @@ def parse_cgf(text: str) -> ColoredCompleteGraph:
                 raise FormatError(f"line {lineno}: n must be positive")
             if not 1 <= r <= MAX_COLORS:
                 raise FormatError(f"line {lineno}: r must be in 1..{MAX_COLORS}")
+            if n * (n - 1) // 2 > len(lines):
+                raise FormatError(f"line {lineno}: n={n} needs {n * (n - 1) // 2} pair lines, input has {len(lines)} lines")
             masks = [[0] * n for _ in range(n)]
         elif toks[0] == "e":
             if masks is None or n is None or r is None:
@@ -442,9 +451,8 @@ def parse_cgf(text: str) -> ColoredCompleteGraph:
                 raise FormatError(f"line {lineno}: bad vertex ids") from None
             if not (0 <= u < v < n):
                 raise FormatError(f"line {lineno}: need 0 <= u < v < n, got {u},{v}")
-            if (u, v) in seen:
+            if masks[u][v]:
                 raise FormatError(f"line {lineno}: pair ({u},{v}) listed twice")
-            seen.add((u, v))
             m = 0
             for part in toks[3].split(","):
                 try:
@@ -457,13 +465,14 @@ def parse_cgf(text: str) -> ColoredCompleteGraph:
             if m == 0:
                 raise FormatError(f"line {lineno}: empty color list")
             masks[u][v] = masks[v][u] = m
+            pairs += 1
         else:
             raise FormatError(f"line {lineno}: unknown directive {toks[0]!r}")
     if n is None or r is None or masks is None:
         raise FormatError("missing header line")
     want = n * (n - 1) // 2
-    if len(seen) != want:
-        raise FormatError(f"expected {want} pair lines, saw {len(seen)}")
+    if pairs != want:
+        raise FormatError(f"expected {want} pair lines, saw {pairs}")
     return ColoredCompleteGraph(n, r, masks)
 
 
@@ -475,7 +484,7 @@ def to_cgf(g: ColoredCompleteGraph, comment: str = "") -> str:
     lines.append(f"colored n {g.n} r {g.r}")
     for u in range(g.n):
         for v in range(u + 1, g.n):
-            cols = ",".join(str(b + 1) for b in _bits(g.masks[u][v]))
+            cols = ",".join(str(b + 1) for b in iter_bits(g.masks[u][v]))
             lines.append(f"e {u} {v} {cols}")
     return "\n".join(lines) + "\n"
 
@@ -505,7 +514,7 @@ def colored_fingerprint(g: ColoredCompleteGraph) -> tuple:
                 comp_size[v][c] = len(comp)
 
     def pair_tag(u: int, v: int) -> tuple:
-        cs = sorted((inv[b], comp_size[u][b]) for b in _bits(g.masks[u][v]))
+        cs = sorted((inv[b], comp_size[u][b]) for b in iter_bits(g.masks[u][v]))
         return (g.masks[u][v].bit_count(), tuple(cs))
 
     lab: list = [tuple(sorted((inv[c], comp_size[v][c]) for c in range(g.r))) for v in range(g.n)]
@@ -581,7 +590,7 @@ def canonical_form_colored(
                 rho[src] = pos
                 pos += 1
         remapped = [
-            [sum(1 << rho[b] for b in _bits(g.masks[u][v])) if u != v else 0 for v in range(g.n)]
+            [sum(1 << rho[b] for b in iter_bits(g.masks[u][v])) if u != v else 0 for v in range(g.n)]
             for u in range(g.n)
         ]
         enc = _lexmin_vertex_order(remapped, g.n, frontier_cap)

@@ -35,8 +35,10 @@ from .graphs import (
     adjacency_masks,
     bipartite_matching_cover,
     connected_components,
+    iter_bits,
     max_independent_set,
     max_matching,
+    vertex_mask,
 )
 from .hypergraph import Hypergraph, dual
 from .oracles import nu_exact
@@ -63,20 +65,14 @@ class DualReduction:
 
 def classify_component(members: Sequence[int], adj: Sequence[int]) -> str:
     k = len(members)
-    degs = [(adj[v] & _mask(members)).bit_count() for v in members]
+    cm = vertex_mask(members)
+    degs = [(adj[v] & cm).bit_count() for v in members]
     if k >= 3 and all(d == 2 for d in degs):
         # connected 2-regular = cycle (K_3 lands here on purpose)
         return "cycle"
     if all(d == k - 1 for d in degs):
         return "complete"
     return "general"
-
-
-def _mask(members: Sequence[int]) -> int:
-    m = 0
-    for v in members:
-        m |= 1 << v
-    return m
 
 
 def reduce_dual(hd: Hypergraph, edge_labels: Optional[Sequence[str]] = None) -> DualReduction:
@@ -128,21 +124,14 @@ def reduce_dual(hd: Hypergraph, edge_labels: Optional[Sequence[str]] = None) -> 
 
 
 def _cycle_order(members: Sequence[int], adj: Sequence[int]) -> list[int]:
-    start = min(members)
-    order = [start]
+    cm = vertex_mask(members)
+    order = [min(members)]
     prev = -1
     while len(order) < len(members):
-        nxt = min(b for b in _bits(adj[order[-1]] & _mask(members)) if b != prev)
+        nxt = min(b for b in iter_bits(adj[order[-1]] & cm) if b != prev)
         prev = order[-1]
         order.append(nxt)
     return order
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def edge_cover_graph(n: int, edges: Sequence[tuple[int, int]], r: int) -> list[tuple[int, int]]:
@@ -190,15 +179,15 @@ def edge_cover_graph(n: int, edges: Sequence[tuple[int, int]], r: int) -> list[t
 def _independence_cover(comp: Sequence[int], adj: Sequence[int]) -> tuple[list[tuple[int, int]], int]:
     """The not-a-cycle construction on one connected component; returns the
     chosen edges and the component's independence number."""
-    cm = _mask(comp)
+    cm = vertex_mask(comp)
     local = sorted(comp)
     lid = {v: i for i, v in enumerate(local)}
     ladj = [0] * len(local)
     for v in local:
-        for u in _bits(adj[v] & cm):
+        for u in iter_bits(adj[v] & cm):
             ladj[lid[v]] |= 1 << lid[u]
     imask = max_independent_set(ladj, len(local))
-    I = [local[i] for i in _bits(imask)]
+    I = [local[i] for i in iter_bits(imask)]
     rest = [v for v in local if v not in set(I)]
     rest_edges = [
         (u, v) for u, v in itertools.combinations(rest, 2) if adj[u] >> v & 1
@@ -210,14 +199,14 @@ def _independence_cover(comp: Sequence[int], adj: Sequence[int]) -> tuple[list[t
     Y = [v for v in rest if v not in matched]
     for u, v in itertools.combinations(Y, 2):
         assert not adj[u] >> v & 1, "leftover set must be independent if M is maximum"
-    bip = {y: {u for u in _bits(adj[y] & cm) if u in set(I)} for y in Y}
+    bip = {y: {u for u in iter_bits(adj[y] & cm) if u in set(I)} for y in Y}
     y_match = bipartite_matching_cover(Y, I, bip)
     cover = [_e(u, v) for u, v in M]
     cover += [_e(y, i) for y, i in y_match.items()]
     used_i = set(y_match.values())
     for v in I:
         if v not in used_i:
-            partner = min(_bits(adj[v] & cm))
+            partner = min(iter_bits(adj[v] & cm))
             cover.append(_e(v, partner))
     assert len(cover) <= len(M) + len(I)
     return cover, len(I)

@@ -113,17 +113,7 @@ def gen_transitive_colored(n: int, r: int, min_colors: int, seed: int) -> Colore
                 count[x][y] += 1
                 if count[x][y] == min_colors:
                     deficient.discard((x, y))
-    masks = [[0] * n for _ in range(n)]
-    for u in range(n):
-        for v in range(u + 1, n):
-            m = 0
-            for c in range(r):
-                if block[c][u] == block[c][v]:
-                    m |= 1 << c
-            masks[u][v] = masks[v][u] = m
-    g = ColoredCompleteGraph(n, r, masks)
-    assert g.transitive
-    return g
+    return ColoredCompleteGraph.from_labels(block)
 
 
 def gen_t_intersecting_hypergraph(

@@ -6,12 +6,25 @@ adjacency list over vertices 0..n-1 (list of int bitmasks).
 
 from __future__ import annotations
 
-import itertools
-from typing import Iterable, Optional, Sequence
-
-import networkx as nx
+from typing import Iterable, Sequence
 
 from .errors import RyserError
+
+
+def iter_bits(mask: int):
+    """Positions of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def vertex_mask(vertices: Iterable[int]) -> int:
+    """Bitmask with bit v set for every v in vertices."""
+    m = 0
+    for v in vertices:
+        m |= 1 << v
+    return m
 
 
 def adjacency_masks(n: int, edges: Iterable[tuple[int, int]]) -> list[int]:
@@ -38,7 +51,7 @@ def max_independent_set(adj: Sequence[int], n: int) -> int:
             if cur_size > best_size:
                 best_size, best_mask = cur_size, cur
             return
-        v = max(_iter_bits(cand), key=lambda x: (adj[x] & cand).bit_count())
+        v = max(iter_bits(cand), key=lambda x: (adj[x] & cand).bit_count())
         rec(cand & ~(1 << v) & ~adj[v], cur | (1 << v), cur_size + 1)
         rec(cand & ~(1 << v), cur, cur_size)
 
@@ -46,15 +59,13 @@ def max_independent_set(adj: Sequence[int], n: int) -> int:
     return best_mask
 
 
-def _iter_bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def max_matching(n: int, edges: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
-    """Maximum-cardinality matching of a simple graph (networkx blossom)."""
+    """Maximum-cardinality matching of a simple graph (networkx blossom).
+
+    networkx is imported here, not at module level: only the degree-2 case
+    needs it, and it would otherwise dominate the CLI's start-up time."""
+    import networkx as nx
+
     g = nx.Graph()
     g.add_nodes_from(range(n))
     g.add_edges_from(edges)
@@ -124,7 +135,7 @@ def connected_components(n: int, adj: Sequence[int]) -> list[list[int]]:
         while stack:
             v = stack.pop()
             comp.append(v)
-            for u in _iter_bits(adj[v]):
+            for u in iter_bits(adj[v]):
                 if not seen[u]:
                     seen[u] = True
                     stack.append(u)

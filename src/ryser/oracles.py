@@ -14,7 +14,7 @@ from typing import Optional
 
 from .colored import ColoredCompleteGraph, ComponentCover, monochromatic_components
 from .errors import PreconditionError
-from .graphs import max_independent_set
+from .graphs import iter_bits, max_independent_set, vertex_mask
 from .hypergraph import Hypergraph, intersection_level
 
 DEFAULT_MAX_VERTICES = 40
@@ -76,7 +76,7 @@ def tau_exact(h: Hypergraph, max_vertices: int = DEFAULT_MAX_VERTICES, max_edges
         while left:
             counts: dict[int, int] = {}
             for i in left:
-                for b in _bits(masks[i]):
+                for b in iter_bits(masks[i]):
                     counts[b] = counts.get(b, 0) + 1
             v = max(counts, key=lambda x: (counts[x], -x))
             left = [i for i in left if not masks[i] >> v & 1]
@@ -93,7 +93,7 @@ def tau_exact(h: Hypergraph, max_vertices: int = DEFAULT_MAX_VERTICES, max_edges
         if chosen + _matching_lower_bound(masks, todo) >= best:
             return
         e = masks[todo[0]]
-        cand = sorted(_bits(e), key=lambda v: -sum(masks[i] >> v & 1 for i in todo))
+        cand = sorted(iter_bits(e), key=lambda v: -sum(masks[i] >> v & 1 for i in todo))
         for v in cand:
             rest = [i for i in todo if not masks[i] >> v & 1]
             rec(rest, chosen + 1)
@@ -201,7 +201,7 @@ def alpha_prime_exact(
     adj = [0] * h.n
     masks = h.edge_masks()
     for em in masks:
-        for v in _bits(em):
+        for v in iter_bits(em):
             adj[v] |= em & ~(1 << v)
     return max_independent_set(adj, h.n).bit_count()
 
@@ -227,13 +227,6 @@ def parameters_exact(
     )
 
 
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 # -- cover oracles over colored graphs ----------------------------------------
 
 
@@ -245,10 +238,7 @@ def min_component_cover(g: ColoredCompleteGraph, max_total_components: int = 64)
     cands: list[tuple[int, frozenset[int], int]] = []
     for c in range(1, g.r + 1):
         for comp in index.of_color(c):
-            m = 0
-            for v in comp:
-                m |= 1 << v
-            cands.append((c, comp, m))
+            cands.append((c, comp, vertex_mask(comp)))
     if len(cands) > max_total_components:
         raise PreconditionError(
             f"{len(cands)} components exceed the oracle limit {max_total_components}"
@@ -294,15 +284,7 @@ def max_partial_cover_distinct(g: ColoredCompleteGraph, max_tuples: int = 10_000
     index tuple) order. common_vertex is set when all parts intersect.
     """
     index = monochromatic_components(g)
-    per_color_masks: list[list[int]] = []
-    for c in range(1, g.r + 1):
-        row = []
-        for comp in index.of_color(c):
-            m = 0
-            for v in comp:
-                m |= 1 << v
-            row.append(m)
-        per_color_masks.append(row)
+    per_color_masks = [[vertex_mask(comp) for comp in index.of_color(c)] for c in range(1, g.r + 1)]
     total = 0
     for omit in range(1, g.r + 1):
         prod = 1

@@ -34,6 +34,7 @@ from typing import Optional
 
 from .colored import ColoredCompleteGraph, ComponentCover, components_of, monochromatic_components
 from .errors import PreconditionError, RyserError
+from .graphs import vertex_mask
 from .oracles import max_partial_cover_distinct
 from .planes import AffinePlane, BlowupMap, verify_affine_axioms
 
@@ -90,15 +91,7 @@ def verify_counting_identities(g: ColoredCompleteGraph) -> ColorStats:
     """
     st = color_stats(g)
     index = monochromatic_components(g)
-    comp_masks = []
-    for c in range(1, g.r + 1):
-        row = []
-        for comp in index.of_color(c):
-            m = 0
-            for v in comp:
-                m |= 1 << v
-            row.append(m)
-        comp_masks.append(row)
+    comp_masks = [[vertex_mask(comp) for comp in index.of_color(c)] for c in range(1, g.r + 1)]
     for i in range(g.r):
         for j in range(g.r):
             if i == j:

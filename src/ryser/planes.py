@@ -271,33 +271,15 @@ def blowup_graph(plane: AffinePlane, b: int) -> ColoredCompleteGraph:
     """Replace every point with b clones; color a clone pair by the parallel
     classes of the lines through both underlying points (all r colors on
     same-point pairs, exactly one otherwise). Vertex v sits over point
-    plane.points[v // b]."""
+    plane.points[v // b]; its block in color c is the line of parallel
+    class c through that point."""
     if b < 1:
         raise PreconditionError("b must be >= 1")
-    q = plane.q
-    r = q + 1
     pt_index = {p: i for i, p in enumerate(plane.points)}
-    class_of_line = {}
+    line_of = [[0] * len(plane.points) for _ in plane.parallel_classes]
     for ci, grp in enumerate(plane.parallel_classes):
         for li in grp:
-            class_of_line[li] = ci
-    pair_class = {}
-    for li, line in enumerate(plane.lines):
-        for a, bb in itertools.combinations(sorted(line, key=pt_index.get), 2):
-            pair_class[(pt_index[a], pt_index[bb])] = class_of_line[li]
-    n = b * q * q
-    full = (1 << r) - 1
-    masks = [[0] * n for _ in range(n)]
-    for u in range(n):
-        pu = u // b
-        for v in range(u + 1, n):
-            pv = v // b
-            if pu == pv:
-                m = full
-            else:
-                key = (pu, pv) if pu < pv else (pv, pu)
-                m = 1 << pair_class[key]
-            masks[u][v] = masks[v][u] = m
-    g = ColoredCompleteGraph(n, r, masks)
-    assert g.transitive
-    return g
+            for p in plane.lines[li]:
+                line_of[ci][pt_index[p]] = li
+    n = b * len(plane.points)
+    return ColoredCompleteGraph.from_labels([[row[v // b] for v in range(n)] for row in line_of])

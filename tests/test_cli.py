@@ -6,6 +6,8 @@ import sys
 
 import pytest
 
+from ryser import cli
+
 PY = [sys.executable, "-m", "ryser.cli"]
 
 
@@ -133,6 +135,19 @@ def test_bad_format_exit_2():
 def test_missing_file_exit_2():
     p = run(["analyze", "/nonexistent/path.hgf"])
     assert p.returncode == 2
+
+
+def test_non_utf8_file_exit_2(tmp_path, capsys):
+    path = tmp_path / "bad.hgf"
+    path.write_bytes(b"\xff\xfe")
+    assert cli.main(["analyze", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_import_does_not_load_networkx():
+    code = "import sys, ryser.cli; sys.exit('networkx' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], timeout=120).returncode == 0
 
 
 def test_unknown_flag_exit_2():

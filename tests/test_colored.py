@@ -3,12 +3,14 @@ from hypothesis import given, settings, strategies as st
 
 from ryser import (
     ColoredCompleteGraph,
+    affine_plane,
+    blowup_graph,
+    gen_t_intersecting_hypergraph,
     FormatError,
     Hypergraph,
     PartialColoredGraph,
     components_of,
     contract_full_color_classes,
-    delete_color,
     gen_transitive_colored,
     gyarfas_graph,
     is_valid_component_cover,
@@ -84,16 +86,6 @@ def test_contract_full_color_classes():
     assert lifted.covered_count == 3
 
 
-def test_delete_color_shifts_down():
-    g = _mask_graph(3, 3, {(0, 1): [1, 3], (0, 2): [3], (1, 2): [3]})
-    d = delete_color(g, 2)  # color 2 is unused; 3 slides down to 2
-    assert d.r == 2
-    assert d.col(0, 1) == frozenset([1, 2])
-    assert d.col(0, 2) == frozenset([2])
-    with pytest.raises(PreconditionError):
-        delete_color(d, 2)  # (0,2) would lose its only color
-
-
 def test_merge_color_components_adds_cross_pairs():
     g = _mask_graph(4, 2, {
         (0, 1): [1, 2], (2, 3): [1, 2], (0, 2): [2], (0, 3): [2], (1, 2): [2], (1, 3): [2],
@@ -103,6 +95,55 @@ def test_merge_color_components_adds_cross_pairs():
     assert merged.transitive
     assert 1 in merged.col(0, 2)
     assert monochromatic_components(merged).k(1) == 1
+    with pytest.raises(PreconditionError):
+        merge_color_components(g, 0, 0, 1)  # colors are 1-based
+
+
+# -- label construction --------------------------------------------------------
+
+
+def test_from_labels_relabels_blocks_by_smallest_vertex():
+    g = ColoredCompleteGraph.from_labels([["x", "y", "x"], [5, 5, 5]])
+    assert g.labels == ((0, 1, 0), (0, 0, 0))
+    assert g.col(0, 2) == frozenset([1, 2]) and g.col(0, 1) == frozenset([2])
+    assert g.transitive
+    assert g.component_of(2, 1) == frozenset([0, 2])
+
+
+def test_from_labels_rejects_colorless_pair():
+    with pytest.raises(PreconditionError, match=r"\(0, 2\)"):
+        ColoredCompleteGraph.from_labels([[0, 0, 1], [0, 1, 1]])
+
+
+def _assert_mask_path_agrees(g):
+    """Rebuilding g from its masks (union-find plus the clique check) gives
+    the same graph, transitive, with the same labels and component order."""
+    rebuilt = ColoredCompleteGraph(g.n, g.r, g.masks)
+    assert rebuilt == g
+    assert rebuilt.transitive and g.transitive
+    assert rebuilt.labels == g.labels
+    assert monochromatic_components(rebuilt) == monochromatic_components(g)
+
+
+@given(st.integers(2, 14), st.integers(2, 6), st.integers(0, 2**32))
+@settings(max_examples=60, deadline=None)
+def test_label_built_graphs_match_the_mask_path(n, r, seed):
+    g = gen_transitive_colored(n, r, 1 + seed % (r - 1), seed)
+    _assert_mask_path_agrees(g)
+    _assert_mask_path_agrees(contract_full_color_classes(g)[0])
+    _assert_mask_path_agrees(transitive_closure(g))
+    for color in range(1, r + 1):
+        if monochromatic_components(g).k(color) > 1:
+            _assert_mask_path_agrees(merge_color_components(g, color, 0, 1))
+    h, _ = gen_t_intersecting_hypergraph(r, 1 + seed % (r - 1), n, 3, seed)
+    _assert_mask_path_agrees(gyarfas_graph(h))
+
+
+@pytest.mark.parametrize("q,b", [(2, 1), (2, 3), (3, 2), (4, 1), (5, 1)])
+def test_blowups_match_the_mask_path(q, b):
+    g = blowup_graph(affine_plane(q), b)
+    _assert_mask_path_agrees(g)
+    _assert_mask_path_agrees(contract_full_color_classes(g)[0])
 
 
 # -- gyarfas graph -------------------------------------------------------------
@@ -162,6 +203,12 @@ def test_parse_cgf_example():
 def test_parse_cgf_rejects(text):
     with pytest.raises(FormatError):
         parse_cgf(text)
+
+
+def test_parse_cgf_rejects_a_header_larger_than_the_input():
+    # checked before the n x n matrix is allocated
+    with pytest.raises(FormatError, match="pair lines"):
+        parse_cgf("colored n 1000000000 r 3\ne 0 1 1\n")
 
 
 @given(st.integers(2, 9), st.integers(2, 5), st.integers(0, 2**32))

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from ryser import (
     ColoredCompleteGraph,
     cover_t,
-    delete_color,
     gen_transitive_colored,
     is_valid_component_cover,
     min_component_cover,
@@ -152,7 +151,7 @@ def test_cover_shrinks_when_colors_exceed_t(n, seed):
     color is dropped, and the budget tightens to (r-1) - t."""
     r, t = 5, 2
     g = gen_transitive_colored(n, r, t + 1, seed)
-    smaller = delete_color(g, r)
+    smaller = ColoredCompleteGraph.from_labels(g.labels[:-1])  # drop color r's partition
     cov = cover_t(smaller, t)
     assert is_valid_component_cover(smaller, cov)
     assert cov.size <= (r - 1) - t
