@@ -8,10 +8,13 @@ are cliques in that color.
 
 A graph keeps those partitions as r label arrays: labels[c][v] is the
 smallest vertex of v's color-(c+1) component. Producers that already hold
-partitions (generators, blowups, the Gyarfas graph, closure, contraction,
-coarsening) build through ColoredCompleteGraph.from_labels, transitive by
-construction; mask input (CGF files, possibly non-transitive) goes through
-the constructor, whose union-find derives the same labels.
+partitions (generators, blowups, the Gyarfas graph, closure, coarsening)
+build through ColoredCompleteGraph.from_labels, transitive by construction;
+contraction keeps its representatives' rows of the masks. Mask input (the
+constructor, and parse_cgf, which hands over the matrix it has validated)
+labels each vertex by the first earlier block representative sharing the
+color, and is transitive iff the masks those labels induce equal the input,
+one list comparison; only a non-transitive input is relabeled by union-find.
 
 Includes the edge-intersection construction that turns an r-partite
 intersecting hypergraph into such a graph (vertices = hyperedges, colors =
@@ -22,8 +25,11 @@ canonical forms for isomorphism up to vertex AND color relabeling.
 from __future__ import annotations
 
 import itertools
+import sys
+from array import array
 from dataclasses import dataclass
 from math import factorial
+from operator import itemgetter
 from typing import Hashable, Iterable, Optional, Sequence
 
 from .errors import FormatError, PreconditionError
@@ -58,18 +64,38 @@ def _blocks(row: Sequence[int]) -> dict[int, list[int]]:
 
 
 def _label_masks(labels: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Mask matrix of a partition system: color c on uv iff u, v share a block."""
+    """Mask matrix of a partition system: color c on uv iff u, v share a block.
+
+    Rows are built as integers of fixed-width fields, one per vertex, and
+    unpacked through array at C speed. A block adds one integer, holding
+    its color bit in each member's field, to each member's row (distinct
+    bits, so no carries): |B| + 2 passes over a row's `width` bytes. A
+    block of at most width/40 vertices is cheaper set pair by pair (|B|^2
+    updates)."""
     n = len(labels[0])
-    masks = [[0] * n for _ in range(n)]
+    code = next(tc for tc in "BHIL" if array(tc).itemsize * 8 >= len(labels))
+    width = n * array(code).itemsize
+    rows = [0] * n
+    small: list[tuple[int, list[int]]] = []
     for c, row in enumerate(labels):
-        bit = 1 << c
         for block in _blocks(row).values():
             if len(block) == 1:
                 continue
-            for u in block:
-                mu = masks[u]
-                for v in block:
-                    mu[v] |= bit
+            if len(block) * 40 <= width:
+                small.append((1 << c, block))
+                continue
+            fields = array(code, bytes(width))
+            for v in block:
+                fields[v] = 1 << c
+            packed = int.from_bytes(fields, sys.byteorder)
+            for v in block:
+                rows[v] += packed
+    masks = [array(code, packed.to_bytes(width, sys.byteorder)).tolist() for packed in rows]
+    for bit, block in small:
+        for u in block:
+            mu = masks[u]
+            for v in block:
+                mu[v] |= bit
     for u in range(n):
         masks[u][u] = 0
     return masks
@@ -81,6 +107,28 @@ def _first_colorless(masks: Sequence[list[int]]) -> Optional[tuple[int, int]]:
         if row.count(0) > 1:  # the diagonal is one zero
             return u, row.index(0, u + 1)
     return None
+
+
+def _rep_labels(masks: Sequence[Sequence[int]], r: int) -> tuple[tuple[int, ...], ...]:
+    """Per color, each vertex's label is the first earlier block
+    representative it shares the color with, else the vertex itself (a new
+    representative). For a transitive coloring these are the components
+    labeled by their smallest vertex; at most n(n-1)/2 bit tests per color."""
+    out = []
+    for c in range(r):
+        bit = 1 << c
+        reps: list[int] = []
+        row: list[int] = []
+        for v, mv in enumerate(masks):
+            for x in reps:
+                if mv[x] & bit:
+                    row.append(x)
+                    break
+            else:
+                reps.append(v)
+                row.append(v)
+        out.append(tuple(row))
+    return tuple(out)
 
 
 class ColoredCompleteGraph:
@@ -111,8 +159,7 @@ class ColoredCompleteGraph:
                 if x & ~full:
                     raise PreconditionError(f"pair ({u},{v}) uses a color outside 1..{r}")
                 mm[u][v] = x
-        self._set(mm, self._union_find(n, r, mm))
-        self.transitive = self._check_transitive()
+        self._index_masks(mm, r)
 
     @classmethod
     def from_labels(cls, labels: Sequence[Sequence[Hashable]]) -> "ColoredCompleteGraph":
@@ -168,22 +215,39 @@ class ColoredCompleteGraph:
             labels.append(tuple(find(v) for v in range(n)))
         return tuple(labels)
 
+    @classmethod
+    def _of_masks(cls, masks: list[list[int]], r: int) -> "ColoredCompleteGraph":
+        """Graph from a matrix already known to be valid: symmetric, zero
+        diagonal, every pair a nonempty subset of [r]. The matrix is kept."""
+        g = cls.__new__(cls)
+        g._index_masks(masks, r)
+        return g
+
+    def _index_masks(self, masks: list[list[int]], r: int) -> None:
+        """Labels and transitivity of a valid mask matrix.
+
+        The representative labels induce masks equal to the input exactly
+        when every color's relation is an equivalence; only otherwise are
+        the components found by union-find."""
+        labels = _rep_labels(masks, r)
+        self.transitive = _label_masks(labels) == masks
+        if not self.transitive:
+            labels = self._union_find(len(masks), r, masks)
+        self._set(masks, labels)
+
     def mask(self, u: int, v: int) -> int:
         return self.masks[u][v]
+
+    def pair_masks(self) -> set[int]:
+        """The distinct masks on pairs u != v, collected at C speed: no pair
+        carries the empty mask, so the diagonal's zero is the only one."""
+        values = set().union(*self.masks)
+        values.discard(0)
+        return values
 
     def col(self, u: int, v: int) -> frozenset[int]:
         """Colors of the pair uv, 1-based."""
         return frozenset(b + 1 for b in iter_bits(self.masks[u][v]))
-
-    def _check_transitive(self) -> bool:
-        for c in range(self.r):
-            bit = 1 << c
-            for comp in self._components[c]:
-                vs = sorted(comp)
-                for u, v in itertools.combinations(vs, 2):
-                    if not self.masks[u][v] & bit:
-                        return False
-        return True
 
     def component_of(self, v: int, color: int) -> frozenset[int]:
         if not 1 <= color <= self.r:
@@ -362,9 +426,9 @@ def contract_full_color_classes(g: ColoredCompleteGraph):
     Returns (contracted graph, mapping) where mapping[i] is the frozenset of
     original vertices behind contracted vertex i. Transitivity makes the
     full-color relation an equivalence: its classes are the vertices with
-    equal label tuples, and the contracted vertex keeps their labels. The
-    result has no full-color pair unless it is a single vertex; when nothing
-    contracts it is g itself.
+    equal label tuples, and the contracted vertex keeps their labels and the
+    masks of its smallest member. The result has no full-color pair unless
+    it is a single vertex; when nothing contracts it is g itself.
     """
     if not g.transitive:
         raise PreconditionError("contraction needs a transitive coloring")
@@ -374,7 +438,10 @@ def contract_full_color_classes(g: ColoredCompleteGraph):
     mapping = tuple(frozenset(vs) for vs in classes.values())
     if len(mapping) == g.n:
         return g, mapping
-    return ColoredCompleteGraph.from_labels(list(zip(*classes))), mapping
+    reps = [vs[0] for vs in classes.values()]
+    pick = itemgetter(*reps)
+    masks = [list(pick(g.masks[u])) for u in reps] if len(reps) > 1 else [[0]]
+    return ColoredCompleteGraph._of_partitions(masks, _min_labels(list(zip(*classes)))), mapping
 
 
 def lift_cover(cover: ComponentCover, mapping: Sequence[frozenset[int]]) -> ComponentCover:
@@ -414,17 +481,59 @@ def merge_color_components(g: ColoredCompleteGraph, color: int, a: int, b: int) 
 #   e <u> <v> <c1,c2,...>      (0-based u < v, 1-based colors, every pair once)
 
 
+def _color_mask(tok: str, r: int, lineno: int) -> int:
+    """Bitmask of a comma-separated 1-based color list."""
+    m = 0
+    for part in tok.split(","):
+        try:
+            c = int(part)
+        except ValueError:
+            raise FormatError(f"line {lineno}: bad color {part!r}") from None
+        if not 1 <= c <= r:
+            raise FormatError(f"line {lineno}: color {c} out of range 1..{r}")
+        m |= 1 << (c - 1)
+    if m == 0:
+        raise FormatError(f"line {lineno}: empty color list")
+    return m
+
+
 def parse_cgf(text: str) -> ColoredCompleteGraph:
     n = r = None
     masks: Optional[list[list[int]]] = None
+    ids: dict[str, int] = {}  # "0".."n-1" -> vertex, filled at the header
+    color_masks: dict[str, int] = {}  # each distinct color token is checked once
     pairs = 0
     lines = text.splitlines()
     for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        if "#" in raw:
+            raw = raw.split("#", 1)[0]
+        toks = raw.split()
+        if not toks:
             continue
-        toks = line.split()
-        if toks[0] == "colored":
+        head = toks[0]
+        if head == "e":
+            if masks is None or n is None or r is None:
+                raise FormatError(f"line {lineno}: edge before header")
+            if len(toks) != 4:
+                raise FormatError(f"line {lineno}: edge line needs 'e u v colors'")
+            _, a, b, tok = toks
+            u, v = ids.get(a), ids.get(b)
+            if u is None or v is None:  # not a plain id below n: int() decides
+                try:
+                    u, v = int(a), int(b)
+                except ValueError:
+                    raise FormatError(f"line {lineno}: bad vertex ids") from None
+            if not (0 <= u < v < n):
+                raise FormatError(f"line {lineno}: need 0 <= u < v < n, got {u},{v}")
+            row = masks[u]
+            if row[v]:
+                raise FormatError(f"line {lineno}: pair ({u},{v}) listed twice")
+            m = color_masks.get(tok)
+            if m is None:
+                m = color_masks[tok] = _color_mask(tok, r, lineno)
+            row[v] = masks[v][u] = m
+            pairs += 1
+        elif head == "colored":
             if n is not None:
                 raise FormatError(f"line {lineno}: duplicate header")
             if len(toks) != 5 or toks[1] != "n" or toks[3] != "r":
@@ -440,40 +549,16 @@ def parse_cgf(text: str) -> ColoredCompleteGraph:
             if n * (n - 1) // 2 > len(lines):
                 raise FormatError(f"line {lineno}: n={n} needs {n * (n - 1) // 2} pair lines, input has {len(lines)} lines")
             masks = [[0] * n for _ in range(n)]
-        elif toks[0] == "e":
-            if masks is None or n is None or r is None:
-                raise FormatError(f"line {lineno}: edge before header")
-            if len(toks) != 4:
-                raise FormatError(f"line {lineno}: edge line needs 'e u v colors'")
-            try:
-                u, v = int(toks[1]), int(toks[2])
-            except ValueError:
-                raise FormatError(f"line {lineno}: bad vertex ids") from None
-            if not (0 <= u < v < n):
-                raise FormatError(f"line {lineno}: need 0 <= u < v < n, got {u},{v}")
-            if masks[u][v]:
-                raise FormatError(f"line {lineno}: pair ({u},{v}) listed twice")
-            m = 0
-            for part in toks[3].split(","):
-                try:
-                    c = int(part)
-                except ValueError:
-                    raise FormatError(f"line {lineno}: bad color {part!r}") from None
-                if not 1 <= c <= r:
-                    raise FormatError(f"line {lineno}: color {c} out of range 1..{r}")
-                m |= 1 << (c - 1)
-            if m == 0:
-                raise FormatError(f"line {lineno}: empty color list")
-            masks[u][v] = masks[v][u] = m
-            pairs += 1
+            ids = {str(i): i for i in range(n)}
         else:
-            raise FormatError(f"line {lineno}: unknown directive {toks[0]!r}")
+            raise FormatError(f"line {lineno}: unknown directive {head!r}")
     if n is None or r is None or masks is None:
         raise FormatError("missing header line")
     want = n * (n - 1) // 2
     if pairs != want:
         raise FormatError(f"expected {want} pair lines, saw {pairs}")
-    return ColoredCompleteGraph(n, r, masks)
+    # every pair listed once, symmetric, in range and nonempty: no re-check
+    return ColoredCompleteGraph._of_masks(masks, r)
 
 
 def to_cgf(g: ColoredCompleteGraph, comment: str = "") -> str:

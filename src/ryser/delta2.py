@@ -241,8 +241,9 @@ def ryser_delta2(h: Hypergraph, verify: bool = True) -> tuple[str, ...]:
         for u, v in cover_edges:
             key = (red.vertices[u], red.vertices[v])
             chosen.append(min(red.sources[key]))
-    T = tuple(sorted(set(chosen)))
-    missed = [i for i, e in enumerate(h.edges) if not e & set(T)]
+    chosen_set = set(chosen)
+    T = tuple(sorted(chosen_set))
+    missed = [i for i, e in enumerate(h.edges) if chosen_set.isdisjoint(e)]
     if missed:
         raise RyserError(f"internal invariant violated: edges {missed} uncovered")
     if verify:

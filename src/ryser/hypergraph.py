@@ -175,9 +175,11 @@ def dual(h: Hypergraph) -> Hypergraph:
     The result's declared uniformity is the largest star size.
     """
     names = [f"e{i}" for i in range(h.m)]
-    stars: list[frozenset[str]] = []
-    for v in h.vertices:
-        stars.append(frozenset(names[i] for i, e in enumerate(h.edges) if v in e))
+    star_of: list[list[str]] = [[] for _ in h.vertices]
+    for name, e in zip(names, h.edges):
+        for v in e:
+            star_of[h.vertex_index(v)].append(name)
+    stars = [frozenset(s) for s in star_of]
     r_out = max((len(s) for s in stars), default=0)
     return Hypergraph(r_out, stars, vertices=names)
 

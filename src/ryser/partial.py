@@ -133,19 +133,17 @@ def partial_cover_distinct(g: ColoredCompleteGraph) -> ComponentCover:
 
 
 def _partial_candidates(g: ColoredCompleteGraph) -> ComponentCover:
-    # (a) a color missing at some vertex covers everything
-    full = (1 << g.r) - 1
-    for v in range(g.n):
-        present = 0
-        for u in range(g.n):
-            if u != v:
-                present |= g.masks[u][v]
-        if present != full:
-            i = (~present & full & -(~present & full)).bit_length()
-            cover = components_of(g, v, [c for c in range(1, g.r + 1) if c != i])
-            assert cover.covered_count == g.n, "non-spanning shortcut must cover everything"
-            return cover
     index = monochromatic_components(g)
+    # (a) a color missing at some vertex covers everything; color i is
+    # missing at v exactly when v's color-i component is {v}
+    alone = [{min(comp) for comp in index.of_color(c) if len(comp) == 1} for c in range(1, g.r + 1)]
+    lonely = set().union(*alone)
+    if lonely:
+        v = min(lonely)
+        i = next(c for c in range(1, g.r + 1) if v in alone[c - 1])
+        cover = components_of(g, v, [c for c in range(1, g.r + 1) if c != i])
+        assert cover.covered_count == g.n, "non-spanning shortcut must cover everything"
+        return cover
     k = [index.k(c) for c in range(1, g.r + 1)]
     # (b) a spanning component: keep its color, drop any other
     for i, ki in enumerate(k, start=1):
@@ -235,10 +233,8 @@ def is_affine_blowup(g: ColoredCompleteGraph) -> Optional[AffineBlowupWitness]:
     if any(index.k(c) != r - 1 for c in range(1, r + 1)):
         return None
     full = (1 << r) - 1
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if g.masks[u][v] != full and g.masks[u][v].bit_count() != 1:
-                return None
+    if any(x != full and x.bit_count() != 1 for x in g.pair_masks()):
+        return None
     if g.n % (r - 1) ** 2 != 0:
         return None
     b = g.n // (r - 1) ** 2

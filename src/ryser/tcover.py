@@ -81,6 +81,8 @@ def _check_common(g: ColoredCompleteGraph, t: int) -> None:
         raise PreconditionError(f"need 1 <= t <= r-1, got t={t}, r={g.r}")
     if 4 * t <= g.r:
         raise PreconditionError(f"need t > r/4, got t={t}, r={g.r}")
+    if all(x.bit_count() >= t for x in g.pair_masks()):
+        return
     for u in range(g.n):
         for v in range(u + 1, g.n):
             if g.masks[u][v].bit_count() < t:
@@ -279,17 +281,10 @@ def _dispatch(g: ColoredCompleteGraph, t: int, trace: list[str]) -> ComponentCov
         lifted = lift_cover(sub, mapping)
         assert lifted.size == sub.size
         return lifted
-    full = (1 << g.r) - 1
-    mixed = None
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            sz = g.masks[u][v].bit_count()
-            assert g.masks[u][v] != full
-            if t < sz < g.r and mixed is None:
-                mixed = (u, v)
-        if mixed:
-            break
-    if mixed:
+    values = g.pair_masks()
+    assert (1 << g.r) - 1 not in values
+    if any(t < x.bit_count() < g.r for x in values):
+        mixed = next((u, v) for u in range(g.n) for v in range(u + 1, g.n) if t < g.masks[u][v].bit_count() < g.r)
         trace.append(f"pair {mixed} carries {g.masks[mixed[0]][mixed[1]].bit_count()} > t colors")
         return lemma_cover(g, t, *mixed)
     # every pair carries exactly t colors from here on

@@ -115,9 +115,25 @@ def test_from_labels_rejects_colorless_pair():
         ColoredCompleteGraph.from_labels([[0, 0, 1], [0, 1, 1]])
 
 
+@given(st.integers(1, 90), st.integers(1, 30), st.integers(0, 40), st.integers(0, 2**32))
+@settings(max_examples=60, deadline=None)
+def test_from_labels_masks_match_the_pairwise_definition(n, r, k, seed):
+    # block sizes from one vertex to n and up to 30 colors reach both the
+    # packed and the pair-by-pair path of every field width
+    from ryser.generators import SplitMix64
+
+    rng = SplitMix64(seed)
+    labels = [[0] * n] + [[rng.randrange(k + 1) for _ in range(n)] for _ in range(r - 1)]
+    g = ColoredCompleteGraph.from_labels(labels)
+    assert g.masks == [
+        [sum(1 << c for c in range(r) if u != v and labels[c][u] == labels[c][v]) for v in range(n)]
+        for u in range(n)
+    ]
+
+
 def _assert_mask_path_agrees(g):
-    """Rebuilding g from its masks (union-find plus the clique check) gives
-    the same graph, transitive, with the same labels and component order."""
+    """Rebuilding g from its masks (the mask-input path) gives the same
+    graph, transitive, with the same labels and component order."""
     rebuilt = ColoredCompleteGraph(g.n, g.r, g.masks)
     assert rebuilt == g
     assert rebuilt.transitive and g.transitive
@@ -137,6 +153,76 @@ def test_label_built_graphs_match_the_mask_path(n, r, seed):
             _assert_mask_path_agrees(merge_color_components(g, color, 0, 1))
     h, _ = gen_t_intersecting_hypergraph(r, 1 + seed % (r - 1), n, 3, seed)
     _assert_mask_path_agrees(gyarfas_graph(h))
+
+
+def _reference_labels(n, r, masks):
+    """Union-find per color, then the clique check on every component."""
+    labels = []
+    for c in range(r):
+        parent = list(range(n))
+
+        def find(x):
+            while parent[x] != x:
+                x = parent[x]
+            return x
+
+        for u in range(n):
+            for v in range(u + 1, n):
+                if masks[u][v] >> c & 1:
+                    ru, rv = find(u), find(v)
+                    parent[max(ru, rv)] = min(ru, rv)
+        labels.append(tuple(find(v) for v in range(n)))
+    transitive = all(
+        masks[u][v] >> c & 1
+        for c, row in enumerate(labels)
+        for u in range(n)
+        for v in range(u + 1, n)
+        if row[u] == row[v]
+    )
+    return tuple(labels), transitive
+
+
+@st.composite
+def _mask_matrices(draw):
+    """Symmetric nonzero masks: all colors everywhere, or the masks of
+    random partitions (full where no block is shared), then up to four
+    pairs overwritten with arbitrary masks; both kinds of input arise."""
+    n = draw(st.integers(1, 8))
+    r = draw(st.integers(1, 4))
+    full = (1 << r) - 1
+    if draw(st.booleans()):
+        labels = [draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)) for _ in range(r)]
+        masks = [[sum(1 << c for c in range(r) if labels[c][u] == labels[c][v]) or full for v in range(n)] for u in range(n)]
+    else:
+        masks = [[full] * n for _ in range(n)]
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    if pairs:
+        for u, v in draw(st.lists(st.sampled_from(pairs), max_size=4)):
+            masks[u][v] = masks[v][u] = draw(st.integers(1, full))
+    for u in range(n):
+        masks[u][u] = 0
+    return n, r, masks
+
+
+@given(_mask_matrices())
+@settings(max_examples=300, deadline=None)
+def test_transitivity_and_labels_match_union_find(case):
+    n, r, masks = case
+    g = ColoredCompleteGraph(n, r, masks)
+    labels, transitive = _reference_labels(n, r, masks)
+    assert g.labels == labels
+    assert g.transitive is transitive
+    assert parse_cgf(to_cgf(g)).labels == labels
+
+
+def test_equal_pair_counts_do_not_make_a_coloring_transitive():
+    # color 1 on 0-2, 0-3, 1-4, 2-4: four pairs, as many as blocks {0,2,3}
+    # and {1,4} would have, but color 1 is one path-connected component
+    one = {(0, 2), (0, 3), (1, 4), (2, 4)}
+    g = _mask_graph(5, 2, {(u, v): [1] if (u, v) in one else [2] for u in range(5) for v in range(u + 1, 5)})
+    assert g.transitive is False
+    assert g.labels[0] == (0, 0, 0, 0, 0)
+    assert g.labels == _reference_labels(5, 2, g.masks)[0]
 
 
 @pytest.mark.parametrize("q,b", [(2, 1), (2, 3), (3, 2), (4, 1), (5, 1)])
@@ -183,10 +269,19 @@ def test_gyarfas_requires_classes():
 
 
 def test_parse_cgf_example():
-    text = "colored n 3 r 2\ne 0 1 1\ne 0 2 1,2\ne 1 2 2\n"
-    g = parse_cgf(text)
-    assert g.n == 3 and g.r == 2
-    assert g.col(0, 2) == frozenset([1, 2])
+    texts = [
+        "colored n 3 r 2\ne 0 1 1\ne 0 2 1,2\ne 1 2 2\n",
+        # trailing comment on an e line, comment-only and whitespace-only lines
+        "# a colouring\ncolored n 3 r 2  # header\n\n   \t\ne 0 1 1 # one\n  # only a comment\ne 0 2 1,2\ne 1 2 2#two\n",
+        # vertex ids that int() accepts but that are not spelled plainly
+        "colored n 3 r 2\ne 0 1 1\ne 00 2 1,2\ne +1 2 2\n",
+    ]
+    for text in texts:
+        g = parse_cgf(text)
+        assert g.n == 3 and g.r == 2
+        assert g.col(0, 1) == frozenset([1])
+        assert g.col(0, 2) == frozenset([1, 2])
+        assert g.col(1, 2) == frozenset([2])
 
 
 @pytest.mark.parametrize(
@@ -198,11 +293,24 @@ def test_parse_cgf_example():
         "colored n 2 r 2\ne 0 1 1\ne 0 1 2\n",  # duplicate pair
         "e 0 1 1\n",  # missing header
         "colored n 2 r 2\ne 0 1 0\n",  # colors are 1-based
+        "colored n 2 r 2\ne 0 1 1 2\n",  # too many tokens
+        "colored n 2 r 2\ne 0 1 # 1\n",  # the comment swallows the colors
+        "colored n 2 r 2\ne 0 x 1\n",  # bad vertex id
+        "colored n 3 r 2\ne 0 1 1\ne 0 2 1\ne 1 3 1\n",  # vertex id n
+        "colored n 2 r 2\ne 0 1 1,,2\n",  # empty color in the list
     ],
 )
 def test_parse_cgf_rejects(text):
     with pytest.raises(FormatError):
         parse_cgf(text)
+
+
+def test_parse_cgf_rejects_a_repeated_bad_color_at_its_first_line():
+    text = "colored n 3 r 2\n# bad token below\ne 0 1 1,x\ne 0 2 1,x\ne 1 2 1,x\n"
+    with pytest.raises(FormatError, match=r"^line 3: bad color 'x'$"):
+        parse_cgf(text)
+    with pytest.raises(FormatError, match=r"^line 4: color 3 out of range 1\.\.2$"):
+        parse_cgf("colored n 3 r 2\ne 0 1 1\n\ne 0 2 3\ne 1 2 3\n")
 
 
 def test_parse_cgf_rejects_a_header_larger_than_the_input():
