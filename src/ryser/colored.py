@@ -420,6 +420,16 @@ def transitive_closure(g: ColoredCompleteGraph) -> ColoredCompleteGraph:
     return ColoredCompleteGraph.from_labels(g.labels)
 
 
+def full_color_classes(g: ColoredCompleteGraph) -> dict[tuple[int, ...], list[int]]:
+    """Label tuple -> the vertices carrying it, in order of smallest member.
+    In a transitive coloring these are the classes of the all-colors
+    relation."""
+    classes: dict[tuple[int, ...], list[int]] = {}
+    for v, key in enumerate(zip(*g.labels)):
+        classes.setdefault(key, []).append(v)
+    return classes
+
+
 def contract_full_color_classes(g: ColoredCompleteGraph):
     """Contract every maximal set of vertices pairwise joined in all r colors.
 
@@ -432,9 +442,7 @@ def contract_full_color_classes(g: ColoredCompleteGraph):
     """
     if not g.transitive:
         raise PreconditionError("contraction needs a transitive coloring")
-    classes: dict[tuple[int, ...], list[int]] = {}
-    for v, key in enumerate(zip(*g.labels)):
-        classes.setdefault(key, []).append(v)
+    classes = full_color_classes(g)
     mapping = tuple(frozenset(vs) for vs in classes.values())
     if len(mapping) == g.n:
         return g, mapping
@@ -497,7 +505,104 @@ def _color_mask(tok: str, r: int, lineno: int) -> int:
     return m
 
 
+def _color_text(mask: int) -> str:
+    """The color list of a mask as to_cgf spells it: ascending, comma-separated."""
+    return ",".join(str(b + 1) for b in iter_bits(mask))
+
+
+def _token_mask(tok: str, r: int) -> Optional[int]:
+    """Mask of a color token "<colors>\\ne" (a pair line's colors up to the
+    next line's "e"), or None unless <colors> is spelled as to_cgf spells it."""
+    if not tok.endswith("\ne"):
+        return None
+    body = tok[:-2]
+    try:
+        m = _color_mask(body, r, 0)
+    except FormatError:
+        return None
+    return m if _color_text(m) == body else None
+
+
+def _canonical_masks(text: str) -> Optional[tuple[int, list[list[int]]]]:
+    """(r, masks) of a text exactly as to_cgf writes it, else None.
+
+    Accepted: leading "#" lines, the header "colored n <n> r <r>", then for
+    each u in order the lines "e u v <colors>" for v = u+1..n-1, single
+    spaces, canonical color lists, "\\n" endings and nothing after the last
+    one. Row u is cut out by finding its last line, split on spaces and
+    checked column by column with list comparisons; each distinct color
+    token is validated once."""
+    pos = 0
+    while text.startswith("#", pos):
+        pos = text.find("\n", pos) + 1
+        if pos == 0:
+            return None
+    comments = text[:pos]
+    if len(comments.splitlines()) != comments.count("\n"):
+        return None  # a comment holds another line break: the line loop splits there
+    end = text.find("\n", pos)
+    if end < 0:
+        return None
+    head = text[pos:end].split(" ")
+    if len(head) != 5 or head[0] != "colored" or head[1] != "n" or head[3] != "r":
+        return None
+    _, _, ns, _, rs = head
+    try:
+        n, r = int(ns), int(rs)
+    except ValueError:
+        return None
+    if str(n) != ns or str(r) != rs or n < 1 or not 1 <= r <= MAX_COLORS:
+        return None
+    # before allocating: the newline count fixes n, so n x n is bounded by the input
+    if text.count("\n") != comments.count("\n") + 1 + n * (n - 1) // 2:
+        return None
+    masks = [[0] * n for _ in range(n)]
+    names = [str(v) for v in range(n)]
+    token_masks: dict[str, int] = {}
+    last = names[-1]
+    pos = end + 1
+    for u in range(n - 1):
+        name = names[u]
+        cut = text.find(f"e {name} {last} ", pos)
+        end = text.find("\n", cut)
+        if cut < 0 or end < 0:
+            return None
+        toks = text[pos:end].split(" ")
+        pos = end + 1
+        toks[-1] += "\ne"  # the row's last color token, spelled like the others
+        k = n - 1 - u
+        if len(toks) != 3 * k + 1 or toks[0] != "e" or toks[1::3] != [name] * k or toks[2::3] != names[u + 1 :]:
+            return None
+        colors = toks[3::3]
+        try:
+            masks[u][u + 1 :] = map(token_masks.__getitem__, colors)
+        except KeyError:  # the row has tokens not seen before: check each once
+            for tok in set(colors).difference(token_masks):
+                m = _token_mask(tok, r)
+                if m is None:
+                    return None
+                token_masks[tok] = m
+            masks[u][u + 1 :] = map(token_masks.__getitem__, colors)
+    if pos != len(text):
+        return None
+    # mirror: row v left of the diagonal is column v above it
+    for v, column in enumerate(zip(*masks)):
+        masks[v][:v] = column[:v]
+    return r, masks
+
+
 def parse_cgf(text: str) -> ColoredCompleteGraph:
+    """Read CGF. Text in to_cgf's exact form is read row by row; any other
+    valid layout goes through the line loop, which yields the same graph and
+    gives every error its line number."""
+    read = _canonical_masks(text)
+    r, masks = read if read is not None else _read_lines(text)
+    # every pair listed once, symmetric, in range and nonempty: no re-check
+    return ColoredCompleteGraph._of_masks(masks, r)
+
+
+def _read_lines(text: str) -> tuple[int, list[list[int]]]:
+    """(r, masks) of any valid CGF text, one line at a time."""
     n = r = None
     masks: Optional[list[list[int]]] = None
     ids: dict[str, int] = {}  # "0".."n-1" -> vertex, filled at the header
@@ -557,20 +662,15 @@ def parse_cgf(text: str) -> ColoredCompleteGraph:
     want = n * (n - 1) // 2
     if pairs != want:
         raise FormatError(f"expected {want} pair lines, saw {pairs}")
-    # every pair listed once, symmetric, in range and nonempty: no re-check
-    return ColoredCompleteGraph._of_masks(masks, r)
+    return r, masks
 
 
 def to_cgf(g: ColoredCompleteGraph, comment: str = "") -> str:
-    lines = []
-    if comment:
-        for c in comment.splitlines():
-            lines.append(f"# {c}")
+    lines = [f"# {c}" for c in comment.splitlines()]
     lines.append(f"colored n {g.n} r {g.r}")
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            cols = ",".join(str(b + 1) for b in iter_bits(g.masks[u][v]))
-            lines.append(f"e {u} {v} {cols}")
+    text_of = {m: _color_text(m) for m in g.pair_masks()}  # each distinct mask spelled once
+    for u, row in enumerate(g.masks):
+        lines.extend([f"e {u} {v} {text_of[row[v]]}" for v in range(u + 1, g.n)])
     return "\n".join(lines) + "\n"
 
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .colored import ColoredCompleteGraph, ComponentCover, components_of, monochromatic_components
+from .colored import ColoredCompleteGraph, ComponentCover, components_of, full_color_classes, monochromatic_components
 from .errors import PreconditionError, RyserError
 from .graphs import vertex_mask
 from .oracles import max_partial_cover_distinct
@@ -119,16 +119,20 @@ def coverage_bound(n: int, r: int) -> Fraction:
 
 def partial_cover_distinct(g: ColoredCompleteGraph) -> ComponentCover:
     """r - 1 components of pairwise different colors through a common vertex,
-    covering at least coverage_bound(n, r) vertices (guaranteed, asserted)."""
+    covering at least coverage_bound(n, r) vertices (guaranteed, checked)."""
     if not g.transitive:
         raise PreconditionError("coloring is not transitive")
     if g.r < 2:
         raise PreconditionError("need r >= 2 colors")
     cover = _partial_candidates(g)
     colors = [c for c, _ in cover.parts]
-    assert len(colors) == g.r - 1 and len(set(colors)) == g.r - 1
-    assert cover.common_vertex is not None
-    assert cover.covered_count >= math.ceil(coverage_bound(g.n, g.r))
+    if len(colors) != g.r - 1 or len(set(colors)) != g.r - 1:
+        raise RyserError(f"internal invariant violated: cover colors {colors} are not r-1={g.r - 1} distinct colors")
+    if cover.common_vertex is None:
+        raise RyserError("internal invariant violated: cover has no common vertex")
+    bound = math.ceil(coverage_bound(g.n, g.r))
+    if cover.covered_count < bound:
+        raise RyserError(f"internal invariant violated: cover reaches {cover.covered_count} < {bound} vertices")
     return cover
 
 
@@ -243,19 +247,8 @@ def is_affine_blowup(g: ColoredCompleteGraph) -> Optional[AffineBlowupWitness]:
         if c1 != c2 and len(a & bb) != b:
             return None
     # clone groups: classes of the all-colors relation
-    group_of: dict[int, int] = {}
-    groups: list[list[int]] = []
-    for v in range(g.n):
-        placed = False
-        for gi, grp in enumerate(groups):
-            if g.masks[v][grp[0]] == full:
-                grp.append(v)
-                group_of[v] = gi
-                placed = True
-                break
-        if not placed:
-            group_of[v] = len(groups)
-            groups.append([v])
+    groups = list(full_color_classes(g).values())
+    group_of = {v: gi for gi, grp in enumerate(groups) for v in grp}
     if len(groups) != (r - 1) ** 2 or any(len(grp) != b for grp in groups):
         return None
     point_names = tuple(f"P{gi}" for gi in range(len(groups)))

@@ -36,7 +36,7 @@ from .colored import (
     contract_full_color_classes,
     lift_cover,
 )
-from .errors import HypothesisViolation, PreconditionError
+from .errors import HypothesisViolation, PreconditionError, RyserError
 
 
 @dataclass(frozen=True)
@@ -264,8 +264,10 @@ def cover_t(g: ColoredCompleteGraph, t: int, trace: Optional[list[str]] = None) 
     """
     _check_common(g, t)
     cover = _dispatch(g, t, trace if trace is not None else [])
-    assert cover.covered_count == g.n
-    assert cover.size <= g.r - t
+    if cover.covered_count != g.n:
+        raise RyserError(f"internal invariant violated: cover reaches {cover.covered_count} of {g.n} vertices")
+    if cover.size > g.r - t:
+        raise RyserError(f"internal invariant violated: {cover.size} parts exceed r-t={g.r - t}")
     return cover
 
 

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -21,7 +23,7 @@ from ryser import (
     to_cgf,
     transitive_closure,
 )
-from ryser.colored import ComponentCover, lift_cover
+from ryser.colored import ComponentCover, _canonical_masks, _read_lines, lift_cover
 from ryser.errors import PreconditionError
 
 
@@ -324,6 +326,89 @@ def test_parse_cgf_rejects_a_header_larger_than_the_input():
 def test_cgf_round_trip(n, r, seed):
     g = gen_transitive_colored(n, r, 1, seed)
     assert parse_cgf(to_cgf(g)) == g
+
+
+def _random_coloring(seed):
+    """Seeded coloring with n in 1..40 and r in 1..30; every other one is
+    transitive, the rest carry independent random masks."""
+    rng = random.Random(seed)
+    n, r = rng.randint(1, 40), rng.randint(1, 30)
+    if seed % 2 == 0 and n >= 2 and r >= 2:
+        return gen_transitive_colored(n, r, rng.randint(1, r - 1), rng.getrandbits(32))
+    masks = [[0] * n for _ in range(n)]
+    for u in range(n):
+        for v in range(u + 1, n):
+            masks[u][v] = masks[v][u] = rng.randrange(1, 1 << r)
+    return ColoredCompleteGraph(n, r, masks)
+
+
+def _mutants(text, r, rng):
+    """(kind, text) for each kind of damage or respelling: whole-text edits,
+    in-line edits on a line near the top (comments, header) and on any line,
+    and pair-line edits on two random pair lines."""
+    lines = text.split("\n")[:-1]
+    pairs = [i for i, line in enumerate(lines) if line.startswith("e ")]
+
+    def with_line(i, new):  # the text with line i replaced by the lines `new`
+        return "\n".join(lines[:i] + new + lines[i + 1 :]) + "\n"
+
+    yield "crlf", text.replace("\n", "\r\n")
+    yield "no final newline", text[:-1]
+    yield "text after the final newline", text + "e 0 1 1"
+    i = rng.randrange(len(lines))
+    yield "blank line", with_line(i, ["", lines[i]])
+    for i in (rng.randrange(min(3, len(lines))), rng.randrange(len(lines))):
+        line = lines[i]
+        k = rng.randrange(1, len(line))
+        yield "lone cr", with_line(i, [line[:k] + "\r" + line[k:]])
+        yield "vertical tab", with_line(i, [line[:k] + "\v" + line[k:]])
+        yield "tab", with_line(i, [line.replace(" ", "\t", 1)])
+        yield "double space", with_line(i, [line.replace(" ", "  ", 1)])
+        yield "trailing space", with_line(i, [line + " "])
+        yield "leading space", with_line(i, [" " + line])
+        yield "inline comment", with_line(i, [line + " # x"])
+    if len(pairs) >= 2:
+        i, j = rng.sample(pairs, 2)
+        swapped = list(lines)
+        swapped[i], swapped[j] = lines[j], lines[i]
+        yield "swapped pair lines", "\n".join(swapped) + "\n"
+    for i in rng.sample(pairs, min(2, len(pairs))):
+        _, u, v, colors = lines[i].split(" ")
+        yield "dropped e", with_line(i, [f"{u} {v} {colors}"])
+        yield "duplicate line", with_line(i, [lines[i]] * 2)
+        yield "missing line", with_line(i, [])
+        yield "+k id", with_line(i, [f"e +{u} {v} {colors}"])
+        yield "0k id", with_line(i, [f"e {u} 0{v} {colors}"])
+        yield "colors reversed", with_line(i, [f"e {u} {v} {','.join(reversed(colors.split(',')))}"])
+        yield "color 0", with_line(i, [f"e {u} {v} 0"])
+        yield "color r+1", with_line(i, [f"e {u} {v} {colors},{r + 1}"])
+
+
+def _line_loop(text):
+    """What the line loop alone reads: (r, masks), or its FormatError message."""
+    try:
+        return _read_lines(text)
+    except FormatError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_canonical_reader_agrees_with_the_line_loop(seed):
+    g = _random_coloring(seed)
+    rng = random.Random(seed)
+    for comment in ("", "x\ny"):
+        text = to_cgf(g, comment=comment)
+        assert _canonical_masks(text) == _line_loop(text) == (g.r, g.masks)
+        for kind, mutant in _mutants(text, g.r, rng):
+            want = _line_loop(mutant)
+            fast = _canonical_masks(mutant)
+            assert fast is None or fast == want, kind
+            if isinstance(want, str):
+                with pytest.raises(FormatError) as exc:
+                    parse_cgf(mutant)
+                assert str(exc.value) == want, kind
+            else:
+                assert parse_cgf(mutant).masks == want[1], kind
 
 
 # -- isomorphism ---------------------------------------------------------------

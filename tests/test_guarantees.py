@@ -1,0 +1,34 @@
+"""Stated guarantees still raise when Python runs with -O (asserts stripped)."""
+
+import subprocess
+import sys
+
+_PLANTED = """
+from ryser import cover_t, gen_transitive_colored, partial_cover_distinct
+from ryser import partial, tcover
+from ryser.colored import ComponentCover, monochromatic_components
+from ryser.errors import RyserError
+
+if __debug__:
+    raise SystemExit("asserts are on: not running under -O")
+g = gen_transitive_colored(8, 5, 2, seed=1)
+every = [(c, comp) for c in range(1, g.r + 1) for comp in monochromatic_components(g).of_color(c)]
+tcover._dispatch = lambda g, t, trace: ComponentCover.build(every)  # spans V, far over r - t
+short = ComponentCover.build([(c, g.component_of(0, c)) for c in (1, 2)], common_vertex=0)
+partial._partial_candidates = lambda g: short  # 2 colors where r - 1 = 4 are due
+for name, run in (("cover_t", lambda: cover_t(g, 2)), ("partial", lambda: partial_cover_distinct(g))):
+    try:
+        run()
+    except RyserError as exc:
+        print(name, "raised:", exc)
+    else:
+        print(name, "returned")
+"""
+
+
+def test_planted_guarantee_failures_raise_under_dash_o():
+    p = subprocess.run([sys.executable, "-O", "-c", _PLANTED], capture_output=True, text=True, timeout=120)
+    assert p.returncode == 0, p.stderr
+    lines = p.stdout.splitlines()
+    assert lines[0].startswith("cover_t raised:") and "exceed r-t=3" in lines[0], lines
+    assert lines[1].startswith("partial raised:") and "r-1=4 distinct colors" in lines[1], lines
