@@ -21,7 +21,6 @@ from .colored import (
     ComponentCover,
     ComponentIndex,
     PartialColoredGraph,
-    canonical_form_colored,
     components_of,
     contract_full_color_classes,
     gyarfas_graph,
@@ -46,7 +45,6 @@ from .generators import (
 from .hypergraph import (
     Hypergraph,
     Violation,
-    canonical_form,
     dual,
     intersection_level,
     isomorphic,
@@ -106,8 +104,6 @@ __all__ = [
     "alpha_exact",
     "alpha_prime_exact",
     "blowup_graph",
-    "canonical_form",
-    "canonical_form_colored",
     "check_sharpness",
     "color_stats",
     "components_of",

@@ -19,21 +19,20 @@ one list comparison; only a non-transitive input is relabeled by union-find.
 Includes the edge-intersection construction that turns an r-partite
 intersecting hypergraph into such a graph (vertices = hyperedges, colors =
 the partite classes where two hyperedges meet), the CGF text format, and
-canonical forms for isomorphism up to vertex AND color relabeling.
+isomorphism up to vertex AND color relabeling, True only with a checked
+witness.
 """
 
 from __future__ import annotations
 
-import itertools
 import sys
 from array import array
 from dataclasses import dataclass
-from math import factorial
 from operator import itemgetter
 from typing import Hashable, Iterable, Optional, Sequence
 
-from .errors import FormatError, PreconditionError
-from .graphs import iter_bits
+from .errors import FormatError, PreconditionError, RyserError
+from .graphs import adjacency_masks, find_isomorphism, iter_bits, vertex_mask
 from .hypergraph import Hypergraph, validate
 
 MAX_COLORS = 30
@@ -340,9 +339,9 @@ class ComponentCover:
 def monochromatic_components(g: ColoredCompleteGraph) -> ComponentIndex:
     """Component index of a transitive coloring.
 
-    Each color's components are cliques in that color and partition V; the
-    clique property is asserted here (it is the component/clique duality that
-    every cover construction leans on).
+    Each color's components are cliques in that color and partition V (the
+    component/clique duality that every cover construction leans on);
+    transitivity, which makes them so, is required here.
     """
     if not g.transitive:
         raise PreconditionError("graph is not transitive; apply transitive_closure first")
@@ -674,127 +673,38 @@ def to_cgf(g: ColoredCompleteGraph, comment: str = "") -> str:
     return "\n".join(lines) + "\n"
 
 
-# -- canonical form / isomorphism (vertex AND color relabeling) ---------------
+# -- isomorphism (vertex AND color relabeling) ---------------------------------
 
 
-def _color_invariants(g: ColoredCompleteGraph) -> list[tuple]:
-    """Per color: an invariant that any color relabeling must respect."""
-    out = []
-    for c in range(g.r):
-        comps = g._components[c]
-        sizes = tuple(sorted(len(x) for x in comps))
-        deg = tuple(sorted(sum(1 for v in range(g.n) if u != v and g.masks[u][v] >> c & 1) for u in range(g.n)))
-        out.append((len(comps), sizes, deg))
-    return out
+def _incidence_graph(g: ColoredCompleteGraph) -> tuple[list[int], list[int]]:
+    """Node types and adjacency: vertices 0..n-1, colors n..n+r-1, then one
+    node per pair, joined to its two ends and to its colors."""
+    n, r = g.n, g.r
+    edges = []
+    node = n + r
+    for u in range(n):
+        for v in range(u + 1, n):
+            edges += [(node, u), (node, v)]
+            edges += [(node, n + c) for c in iter_bits(g.masks[u][v])]
+            node += 1
+    return [0] * n + [1] * r + [2] * (node - n - r), adjacency_masks(node, edges)
 
 
-def colored_fingerprint(g: ColoredCompleteGraph) -> tuple:
-    """Invariant under vertex and color permutations; equality is necessary
-    (not sufficient beyond the exact-search budget) for isomorphism."""
-    inv = _color_invariants(g)
-    comp_size = [[0] * g.r for _ in range(g.n)]
-    for c in range(g.r):
-        for comp in g._components[c]:
-            for v in comp:
-                comp_size[v][c] = len(comp)
+def isomorphic_colored(g1: ColoredCompleteGraph, g2: ColoredCompleteGraph) -> bool:
+    """Isomorphism up to vertex and color relabeling, transitive or not.
 
-    def pair_tag(u: int, v: int) -> tuple:
-        cs = sorted((inv[b], comp_size[u][b]) for b in iter_bits(g.masks[u][v]))
-        return (g.masks[u][v].bit_count(), tuple(cs))
-
-    lab: list = [tuple(sorted((inv[c], comp_size[v][c]) for c in range(g.r))) for v in range(g.n)]
-    for _ in range(3):
-        sigs = []
-        for v in range(g.n):
-            around = sorted((pair_tag(v, u), lab[u]) for u in range(g.n) if u != v)
-            sigs.append((lab[v], tuple(around)))
-        order = sorted(set(sigs))
-        rank = {s: i for i, s in enumerate(order)}
-        lab = [rank[s] for s in sigs]
-    pair_profile = sorted(
-        (pair_tag(u, v), min(lab[u], lab[v]), max(lab[u], lab[v]))
-        for u, v in itertools.combinations(range(g.n), 2)
-    )
-    return ("cg", g.n, g.r, tuple(sorted(inv)), tuple(sorted(lab)), tuple(pair_profile))
-
-
-def _lexmin_vertex_order(masks: list[list[int]], n: int, cap: int) -> Optional[tuple]:
-    """Lex-min, over vertex orders, of the concatenated lower-triangle rows.
-
-    Layered greedy search: the frontier holds every partial order achieving
-    the minimal encoding prefix; None when the frontier outgrows the cap.
+    True only with a witness: a vertex map pi and a color map rho, checked
+    as g2.masks[pi u][pi v] == rho(g1.masks[u][v]) on every pair. Raises
+    PreconditionError when the search passes its node budget.
     """
-    frontier: list[tuple[int, ...]] = [()]
-    prefix: list[tuple] = []
-    for _pos in range(n):
-        best_seg = None
-        ext: list[tuple[int, ...]] = []
-        for order in frontier:
-            used = set(order)
-            for v in range(n):
-                if v in used:
-                    continue
-                seg = tuple(masks[v][u] for u in order)
-                if best_seg is None or seg < best_seg:
-                    best_seg = seg
-                    ext = [order + (v,)]
-                elif seg == best_seg:
-                    ext.append(order + (v,))
-        frontier = ext
-        if len(frontier) > cap:
-            return None
-        assert best_seg is not None
-        prefix.append(best_seg)
-    return tuple(prefix)
-
-
-def canonical_form_colored(
-    g: ColoredCompleteGraph, max_n: int = 12, max_color_perms: int = 50_000, frontier_cap: int = 40_000
-) -> tuple[str, tuple]:
-    """("exact", encoding) minimizing over vertex orders and invariant-
-    respecting color permutations; ("fingerprint", invariant) beyond the
-    size gates."""
-    if g.n > max_n:
-        return ("fingerprint", colored_fingerprint(g))
-    inv = _color_invariants(g)
-    groups: dict[tuple, list[int]] = {}
-    for c in range(g.r):
-        groups.setdefault(inv[c], []).append(c)
-    cells = [groups[k] for k in sorted(groups)]
-    nperms = 1
-    for cell in cells:
-        nperms *= factorial(len(cell))
-        if nperms > max_color_perms:
-            return ("fingerprint", colored_fingerprint(g))
-    best = None
-    for perms in itertools.product(*(itertools.permutations(cell) for cell in cells)):
-        rho = [0] * g.r  # old color bit -> new color bit
-        pos = 0
-        for cell, perm in zip(cells, perms):
-            for src in perm:
-                rho[src] = pos
-                pos += 1
-        remapped = [
-            [sum(1 << rho[b] for b in iter_bits(g.masks[u][v])) if u != v else 0 for v in range(g.n)]
-            for u in range(g.n)
-        ]
-        enc = _lexmin_vertex_order(remapped, g.n, frontier_cap)
-        if enc is None:
-            return ("fingerprint", colored_fingerprint(g))
-        if best is None or enc < best:
-            best = enc
-    return ("exact", (g.n, g.r, best))
-
-
-def isomorphic_colored(g1: ColoredCompleteGraph, g2: ColoredCompleteGraph, max_n: int = 12) -> bool:
-    """Isomorphism up to vertex and color relabeling; exact within the size
-    gate, fingerprint comparison above it (documented caveat)."""
-    if (g1.n, g1.r) != (g2.n, g2.r):
+    pi = find_isomorphism(*_incidence_graph(g1), *_incidence_graph(g2))
+    if pi is None:
         return False
-    if colored_fingerprint(g1) != colored_fingerprint(g2):
-        return False
-    k1 = canonical_form_colored(g1, max_n=max_n)
-    k2 = canonical_form_colored(g2, max_n=max_n)
-    if k1[0] == "exact" and k2[0] == "exact":
-        return k1 == k2
+    n = g1.n
+    rho = [pi[n + c] - n for c in range(g1.r)]  # color bit -> color bit
+    image = {m: vertex_mask(rho[c] for c in iter_bits(m)) for m in g1.pair_masks()}
+    for u in range(n):
+        for v in range(u + 1, n):
+            if g2.masks[pi[u]][pi[v]] != image[g1.masks[u][v]]:
+                raise RyserError(f"internal invariant violated: isomorphism witness fails on pair ({u},{v})")
     return True

@@ -171,8 +171,10 @@ def edge_cover_graph(n: int, edges: Sequence[tuple[int, int]], r: int) -> list[t
     for u, v in cover:
         covered.add(u)
         covered.add(v)
-    assert covered == set(range(n)), "edge cover missed a vertex"
-    assert len(cover) <= (r - 1) * alpha_total, "cover exceeds the (r-1)*alpha budget"
+    if covered != set(range(n)):
+        raise RyserError("internal invariant violated: edge cover missed a vertex")
+    if len(cover) > (r - 1) * alpha_total:
+        raise RyserError("internal invariant violated: cover exceeds the (r-1)*alpha budget")
     return sorted(set(cover))
 
 
@@ -248,5 +250,6 @@ def ryser_delta2(h: Hypergraph, verify: bool = True) -> tuple[str, ...]:
         raise RyserError(f"internal invariant violated: edges {missed} uncovered")
     if verify:
         nu = nu_exact(h, max_vertices=max(h.n, 1), max_edges=max(h.m, 1))
-        assert len(T) <= (h.r - 1) * nu, f"|T|={len(T)} exceeds (r-1)*nu={(h.r - 1) * nu}"
+        if len(T) > (h.r - 1) * nu:
+            raise RyserError(f"internal invariant violated: |T|={len(T)} exceeds (r-1)*nu={(h.r - 1) * nu}")
     return T

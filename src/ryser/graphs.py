@@ -1,4 +1,4 @@
-"""Exact solvers for small simple graphs.
+"""Exact solvers for small simple graphs, and the one isomorphism search.
 
 Everything here is desk scale and deterministic. Graphs are given as an
 adjacency list over vertices 0..n-1 (list of int bitmasks).
@@ -6,9 +6,13 @@ adjacency list over vertices 0..n-1 (list of int bitmasks).
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from collections import Counter
+from typing import Hashable, Iterable, Optional, Sequence
 
-from .errors import RyserError
+from .errors import PreconditionError, RyserError
+
+# Search nodes find_isomorphism may visit before it gives up.
+ISOMORPHISM_NODE_BUDGET = 10_000
 
 
 def iter_bits(mask: int):
@@ -141,3 +145,64 @@ def connected_components(n: int, adj: Sequence[int]) -> list[list[int]]:
                     stack.append(u)
         out.append(sorted(comp))
     return out
+
+
+def _refine(nbrs_a: list[list[int]], la: list[int], nbrs_b: list[list[int]], lb: list[int]):
+    """Colour refinement of both graphs at once: a node's new label is its
+    old one plus the multiset of its neighbours' labels, numbered through one
+    table shared by both graphs, so equal labels mean equal refined colours.
+    Returns the stable (la, lb), or None once the label counts differ."""
+    cells = len(set(la))
+    while True:
+        table: dict[tuple, int] = {}
+        la = [table.setdefault((la[x], tuple(sorted([la[y] for y in nb]))), len(table)) for x, nb in enumerate(nbrs_a)]
+        lb = [table.setdefault((lb[x], tuple(sorted([lb[y] for y in nb]))), len(table)) for x, nb in enumerate(nbrs_b)]
+        if sorted(la) != sorted(lb):
+            return None
+        if len(table) == cells:
+            return la, lb
+        cells = len(table)
+
+
+def find_isomorphism(
+    types_a: Sequence[Hashable], adj_a: Sequence[int], types_b: Sequence[Hashable], adj_b: Sequence[int]
+) -> Optional[list[int]]:
+    """A type-preserving isomorphism of node-typed graphs A -> B as a node
+    map (pi[x] is x's image), or None when there is none.
+
+    Individualisation and refinement (McKay & Piperno, Practical graph
+    isomorphism II, 2014): refine both graphs, individualise A's first node
+    in a non-singleton cell and try each node of the same cell in B. At a
+    discrete stable partition the labels define the map, and it is an
+    isomorphism: each label has one signature, so a node and its image have
+    the same neighbour labels. Raises PreconditionError once the search
+    passes ISOMORPHISM_NODE_BUDGET nodes.
+    """
+    ids: dict[Hashable, int] = {}
+    la = [ids.setdefault(t, len(ids)) for t in types_a]
+    lb = [ids.setdefault(t, len(ids)) for t in types_b]
+    nbrs_a = [list(iter_bits(m)) for m in adj_a]
+    nbrs_b = [list(iter_bits(m)) for m in adj_b]
+    stack = [(la, lb, None, None)]  # parent labels, and the pair (x, y) to individualise
+    nodes = 0
+    while stack:
+        la, lb, x, y = stack.pop()
+        nodes += 1
+        if nodes > ISOMORPHISM_NODE_BUDGET:
+            raise PreconditionError(f"isomorphism search passed its budget of {ISOMORPHISM_NODE_BUDGET} nodes")
+        if x is not None:
+            fresh = len(set(la))
+            la, lb = la.copy(), lb.copy()
+            la[x] = lb[y] = fresh
+        refined = _refine(nbrs_a, la, nbrs_b, lb)
+        if refined is None:
+            continue
+        la, lb = refined
+        size = Counter(la)
+        x = next((v for v, c in enumerate(la) if size[c] > 1), None)
+        if x is None:
+            node_of = {c: v for v, c in enumerate(lb)}
+            return [node_of[c] for c in la]
+        cell = la[x]
+        stack.extend((la, lb, x, y) for y in reversed([v for v, c in enumerate(lb) if c == cell]))
+    return None

@@ -1,5 +1,5 @@
 """Hypergraphs with multiset edges: validation, duality, intersection level,
-HGF text I/O and isomorphism via canonical forms.
+HGF text I/O and isomorphism by a witness-checked search.
 
 Vertex ids are opaque strings; all set computations renumber them densely and
 work on int bitmasks. Edges form a multiset: repeated edge instances are kept
@@ -9,11 +9,12 @@ and tracked by index. Instances are immutable by convention (no mutators).
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
-from math import factorial
 from typing import Iterable, Optional, Sequence
 
-from .errors import FormatError, PreconditionError
+from .errors import FormatError, PreconditionError, RyserError
+from .graphs import adjacency_masks, find_isomorphism
 
 
 @dataclass(frozen=True)
@@ -264,96 +265,30 @@ def to_hgf(h: Hypergraph, comment: str = "") -> str:
     return "\n".join(lines) + "\n"
 
 
-# -- canonical form / isomorphism --------------------------------------------
+# -- isomorphism ----------------------------------------------------------------
 
 
-def _refine_vertex_cells(h: Hypergraph, rounds: int = 3) -> list[list[int]]:
-    """Partition vertex indices into cells by an iterated structural invariant.
+def _incidence_graph(h: Hypergraph) -> tuple[list[int], list[int]]:
+    """Node types and adjacency: vertices 0..n-1, then one node per edge
+    instance (so multiplicity counts), joined to the edge's vertices."""
+    pairs = [(h.n + i, h.vertex_index(v)) for i, e in enumerate(h.edges) for v in e]
+    return [0] * h.n + [1] * h.m, adjacency_masks(h.n + h.m, pairs)
 
-    Isomorphisms map cells to cells, so a lex-min search may restrict itself
-    to permutations that respect the (invariant-ordered) cell sequence.
+
+def _edge_multiset(h: Hypergraph, pi: Sequence[int]) -> Counter:
+    return Counter(frozenset(pi[h.vertex_index(v)] for v in e) for e in h.edges)
+
+
+def isomorphic(h1: Hypergraph, h2: Hypergraph) -> bool:
+    """Isomorphism up to vertex relabeling (classes are ignored).
+
+    True only with a witness: a vertex map checked to carry the edge
+    multiset of h1 onto that of h2. Raises PreconditionError when the search
+    passes its node budget.
     """
-    n = h.n
-    members: list[list[int]] = [[] for _ in range(n)]  # vertex -> incident edges
-    for ei, e in enumerate(h.edges):
-        for v in e:
-            members[h.vertex_index(v)].append(ei)
-    lab = [0] * n
-    for _ in range(rounds):
-        sigs = []
-        for v in range(n):
-            around = sorted(
-                (len(h.edges[ei]), tuple(sorted(lab[h.vertex_index(u)] for u in h.edges[ei] if h.vertex_index(u) != v)))
-                for ei in members[v]
-            )
-            sigs.append((lab[v], tuple(around)))
-        order = sorted(set(sigs))
-        rank = {s: i for i, s in enumerate(order)}
-        lab = [rank[s] for s in sigs]
-    cells: dict[int, list[int]] = {}
-    for v in range(n):
-        cells.setdefault(lab[v], []).append(v)
-    return [cells[k] for k in sorted(cells)]
-
-
-def _edge_encoding(h: Hypergraph, pos: dict[int, int]) -> tuple:
-    enc = sorted(tuple(sorted(pos[h.vertex_index(v)] for v in e)) for e in h.edges)
-    return tuple(enc)
-
-
-def hypergraph_fingerprint(h: Hypergraph) -> tuple:
-    """Isomorphism-invariant fingerprint (refinement labels; no search)."""
-    cells = _refine_vertex_cells(h)
-    lab = [0] * h.n
-    for ci, cell in enumerate(cells):
-        for v in cell:
-            lab[v] = ci
-    per_edge = sorted(tuple(sorted(lab[h.vertex_index(v)] for v in e)) for e in h.edges)
-    return (
-        "hg",
-        h.n,
-        h.m,
-        tuple(sorted(len(e) for e in h.edges)),
-        tuple(len(c) for c in cells),
-        tuple(per_edge),
-    )
-
-
-def canonical_form(h: Hypergraph, budget: int = 200_000) -> tuple[str, tuple]:
-    """("exact", encoding) when the cell-respecting search fits the budget,
-    else ("fingerprint", invariant). Exact encodings are equal iff the
-    hypergraphs are isomorphic (vertex relabeling; classes are ignored).
-    """
-    cells = _refine_vertex_cells(h)
-    work = 1
-    for c in cells:
-        work *= factorial(len(c))
-        if work > budget:
-            return ("fingerprint", hypergraph_fingerprint(h))
-    best: Optional[tuple] = None
-    offsets = []
-    off = 0
-    for c in cells:
-        offsets.append(off)
-        off += len(c)
-    for perms in itertools.product(*(itertools.permutations(c) for c in cells)):
-        pos: dict[int, int] = {}
-        for cell_perm, base in zip(perms, offsets):
-            for j, v in enumerate(cell_perm):
-                pos[v] = base + j
-        enc = _edge_encoding(h, pos)
-        if best is None or enc < best:
-            best = enc
-    sizes = tuple(len(c) for c in cells)
-    return ("exact", (h.n, sizes, best))
-
-
-def isomorphic(h1: Hypergraph, h2: Hypergraph, budget: int = 200_000) -> bool:
-    """Isomorphism test; exact within the search budget, fingerprint above it."""
-    if hypergraph_fingerprint(h1) != hypergraph_fingerprint(h2):
+    pi = find_isomorphism(*_incidence_graph(h1), *_incidence_graph(h2))
+    if pi is None:
         return False
-    k1 = canonical_form(h1, budget)
-    k2 = canonical_form(h2, budget)
-    if k1[0] == "exact" and k2[0] == "exact":
-        return k1 == k2
-    return True  # fingerprints agree; beyond the budget that is the contract
+    if _edge_multiset(h1, pi) != _edge_multiset(h2, range(h2.n)):
+        raise RyserError("internal invariant violated: isomorphism witness does not map the edges")
+    return True

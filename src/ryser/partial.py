@@ -87,7 +87,7 @@ def verify_counting_identities(g: ColoredCompleteGraph) -> ColorStats:
     j of |C - C'| equals (k_j - 1) * n  (color j's components partition V).
     For every color i:  M_i >= n^2 / (2 k_i) - n / 2  (power mean on the
     component sizes) and  sum_v d_i(v) = 2 m_i;  overall  sum_i m_i =
-    C(n, 2) - multi_pairs.  Raises AssertionError with the first failure.
+    C(n, 2) - multi_pairs.  Raises RyserError with the first failure.
     """
     st = color_stats(g)
     index = monochromatic_components(g)
@@ -99,16 +99,20 @@ def verify_counting_identities(g: ColoredCompleteGraph) -> ColorStats:
             total = sum(
                 (ci & ~cj).bit_count() for ci in comp_masks[i] for cj in comp_masks[j]
             )
-            assert total == (st.k[j] - 1) * g.n, (
-                f"difference-count identity fails for colors ({i + 1},{j + 1}): "
-                f"{total} != ({st.k[j]}-1)*{g.n}"
-            )
+            if total != (st.k[j] - 1) * g.n:
+                raise RyserError(
+                    f"difference-count identity fails for colors ({i + 1},{j + 1}): "
+                    f"{total} != ({st.k[j]}-1)*{g.n}"
+                )
     for i in range(g.r):
         lhs = Fraction(st.big_m[i])
         rhs = Fraction(g.n * g.n, 2 * st.k[i]) - Fraction(g.n, 2)
-        assert lhs >= rhs, f"component-pair lower bound fails for color {i + 1}: {lhs} < {rhs}"
-        assert sum(st.d[i]) == 2 * st.m[i], f"degree sum fails for color {i + 1}"
-    assert sum(st.m) == g.n * (g.n - 1) // 2 - st.multi_pairs, "single-color pair count fails"
+        if lhs < rhs:
+            raise RyserError(f"component-pair lower bound fails for color {i + 1}: {lhs} < {rhs}")
+        if sum(st.d[i]) != 2 * st.m[i]:
+            raise RyserError(f"degree sum fails for color {i + 1}")
+    if sum(st.m) != g.n * (g.n - 1) // 2 - st.multi_pairs:
+        raise RyserError("single-color pair count fails")
     return st
 
 

@@ -426,18 +426,20 @@ def test_isomorphic_colored_distinguishes():
     assert not isomorphic_colored(g1, g2)
 
 
-@given(st.integers(3, 8), st.integers(2, 4), st.integers(0, 2**31), st.integers(0, 2**31))
+@given(st.integers(3, 8), st.integers(2, 4), st.integers(0, 2**31), st.integers(0, 2**31), st.randoms())
 @settings(max_examples=30, deadline=None)
-def test_isomorphic_colored_invariant_under_relabeling(n, r, seed, permseed):
+def test_isomorphic_colored_invariant_under_relabeling(n, r, seed, permseed, color_rng):
     from ryser.generators import SplitMix64
 
     g = gen_transitive_colored(n, r, 1, seed)
     rng = SplitMix64(permseed)
     perm = list(range(n))
     rng.shuffle(perm)
+    rho = list(range(r))  # color bit c goes to bit rho[c]
+    color_rng.shuffle(rho)
     masks = [[0] * n for _ in range(n)]
     for u in range(n):
         for v in range(n):
             if u != v:
-                masks[perm[u]][perm[v]] = g.masks[u][v]
+                masks[perm[u]][perm[v]] = sum(1 << rho[c] for c in range(r) if g.masks[u][v] >> c & 1)
     assert isomorphic_colored(g, ColoredCompleteGraph(n, r, masks))

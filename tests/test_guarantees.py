@@ -4,8 +4,10 @@ import subprocess
 import sys
 
 _PLANTED = """
-from ryser import cover_t, gen_transitive_colored, partial_cover_distinct
-from ryser import partial, tcover
+from dataclasses import replace
+
+from ryser import Hypergraph, cover_t, gen_transitive_colored, partial_cover_distinct
+from ryser import delta2, partial, tcover, verify_counting_identities
 from ryser.colored import ComponentCover, monochromatic_components
 from ryser.errors import RyserError
 
@@ -16,7 +18,16 @@ every = [(c, comp) for c in range(1, g.r + 1) for comp in monochromatic_componen
 tcover._dispatch = lambda g, t, trace: ComponentCover.build(every)  # spans V, far over r - t
 short = ComponentCover.build([(c, g.component_of(0, c)) for c in (1, 2)], common_vertex=0)
 partial._partial_candidates = lambda g: short  # 2 colors where r - 1 = 4 are due
-for name, run in (("cover_t", lambda: cover_t(g, 2)), ("partial", lambda: partial_cover_distinct(g))):
+stats = partial.color_stats
+partial.color_stats = lambda g: replace(stats(g), multi_pairs=stats(g).multi_pairs + 1)
+delta2.nu_exact = lambda h, **gates: 0  # no cover fits (r-1)*0
+runs = (
+    ("cover_t", lambda: cover_t(g, 2)),
+    ("partial", lambda: partial_cover_distinct(g)),
+    ("counting", lambda: verify_counting_identities(g)),
+    ("delta2", lambda: delta2.ryser_delta2(Hypergraph(3, [["a", "b", "c"]]))),
+)
+for name, run in runs:
     try:
         run()
     except RyserError as exc:
@@ -32,3 +43,5 @@ def test_planted_guarantee_failures_raise_under_dash_o():
     lines = p.stdout.splitlines()
     assert lines[0].startswith("cover_t raised:") and "exceed r-t=3" in lines[0], lines
     assert lines[1].startswith("partial raised:") and "r-1=4 distinct colors" in lines[1], lines
+    assert lines[2] == "counting raised: single-color pair count fails", lines
+    assert lines[3].startswith("delta2 raised:") and "exceeds (r-1)*nu=0" in lines[3], lines
