@@ -1,8 +1,9 @@
 """Acceptance suite: nine end-to-end checks with wall-clock budgets.
 
 Each check builds its own seeded instances, runs a construction against an
-independent exact oracle (or a frozen closed form) and fails loudly on the
-first discrepancy. The same runners back `ryser selftest` and the test
+independent exact oracle (or a frozen closed form) and fails on the first
+discrepancy by raising CriterionFailed, never by assert, so the checks also
+run under python -O. The same runners back `ryser selftest` and the test
 suite; check 6 re-verifies the counting identities on every colored graph
 that checks 2 through 5 generate, so those instance streams are factored
 out and cached.
@@ -46,6 +47,10 @@ from .partial import (
 )
 from .planes import SUPPORTED_ORDERS, affine_plane, blowup_graph, truncated_projective_plane
 from .tcover import cover_t
+
+
+class CriterionFailed(Exception):
+    """A criterion's check found a discrepancy; the message names the values."""
 
 
 @dataclass
@@ -140,7 +145,8 @@ def coarsened_instances(count: int = 50) -> list[ColoredCompleteGraph]:
                             out.append(merge_color_components(g, color, a, bb))
             if len(out) >= count:
                 break
-        assert len(out) == count
+        if len(out) != count:
+            raise CriterionFailed(f"built {len(out)} coarsened instances, need {count}")
         _cache[key] = out
     return _cache[key]
 
@@ -155,9 +161,12 @@ def criterion_1() -> CriterionResult:
         for q in (2, 3, 4, 5):
             h = truncated_projective_plane(q)
             p = parameters_exact(h)
-            assert p.tau == q, f"q={q}: tau={p.tau}"
-            assert p.nu == 1, f"q={q}: nu={p.nu}"
-            assert p.tau == (h.r - 1) * p.nu
+            if p.tau != q:
+                raise CriterionFailed(f"q={q}: tau={p.tau}")
+            if p.nu != 1:
+                raise CriterionFailed(f"q={q}: nu={p.nu}")
+            if p.tau != (h.r - 1) * p.nu:
+                raise CriterionFailed(f"q={q}: tau={p.tau} != (r-1)*nu={(h.r - 1) * p.nu}")
         return "tau = q and nu = 1 for q in {2,3,4,5}"
 
     return _run("criterion 1 sharp-family", 10, body)
@@ -170,11 +179,14 @@ def criterion_2() -> CriterionResult:
         checked = compared = 0
         for r, t, g in transitive_instances():
             cover = cover_t(g, t)
-            assert is_valid_component_cover(g, cover), f"invalid cover r={r} t={t} n={g.n}"
-            assert cover.size <= r - t, f"{cover.size} parts > r-t={r - t}"
+            if not is_valid_component_cover(g, cover):
+                raise CriterionFailed(f"invalid cover r={r} t={t} n={g.n}")
+            if cover.size > r - t:
+                raise CriterionFailed(f"{cover.size} parts > r-t={r - t}")
             if g.n <= 12:
                 best = min_component_cover(g, max_total_components=256)
-                assert best.size <= cover.size, f"optimum {best.size} > constructed {cover.size}"
+                if best.size > cover.size:
+                    raise CriterionFailed(f"optimum {best.size} > constructed {cover.size}")
                 compared += 1
             checked += 1
         return f"{checked} instances over {len(rt_pairs())} (r,t) pairs, {compared} oracle comparisons"
@@ -189,12 +201,17 @@ def criterion_3() -> CriterionResult:
         for g in partial_instances():
             cover = partial_cover_distinct(g)
             colors = [c for c, _ in cover.parts]
-            assert cover.size == g.r - 1, f"{cover.size} parts, r={g.r}"
-            assert len(set(colors)) == g.r - 1, "colors not pairwise distinct"
-            assert cover.common_vertex is not None
-            assert is_valid_component_cover(g, cover, require_spanning=False)
+            if cover.size != g.r - 1:
+                raise CriterionFailed(f"{cover.size} parts, r={g.r}")
+            if len(set(colors)) != g.r - 1:
+                raise CriterionFailed(f"colors {colors} not pairwise distinct")
+            if cover.common_vertex is None:
+                raise CriterionFailed(f"no common vertex, n={g.n} r={g.r}")
+            if not is_valid_component_cover(g, cover, require_spanning=False):
+                raise CriterionFailed(f"invalid partial cover n={g.n} r={g.r}")
             need = math.ceil(coverage_bound(g.n, g.r))
-            assert cover.covered_count >= need, f"covered {cover.covered_count} < {need}"
+            if cover.covered_count < need:
+                raise CriterionFailed(f"covered {cover.covered_count} < {need}")
         return f"{len(partial_instances())} instances, r in 2..5, n up to 40"
 
     return _run("criterion 3 partial-cover-bound", 30, body)
@@ -208,11 +225,15 @@ def criterion_4() -> CriterionResult:
         for q, b, g in blowup_instances():
             expected = b * (q * q - q + 1)
             best = max_partial_cover_distinct(g)
-            assert best.covered_count == expected, f"q={q} b={b}: {best.covered_count} != {expected}"
-            assert Fraction(expected) == coverage_bound(g.n, g.r)
+            if best.covered_count != expected:
+                raise CriterionFailed(f"q={q} b={b}: {best.covered_count} != {expected}")
+            if Fraction(expected) != coverage_bound(g.n, g.r):
+                raise CriterionFailed(f"q={q} b={b}: bound {coverage_bound(g.n, g.r)} != {expected}")
             witness = is_affine_blowup(g)
-            assert witness is not None, f"q={q} b={b}: not recognized"
-            assert witness.map.b == b and witness.plane.q == q
+            if witness is None:
+                raise CriterionFailed(f"q={q} b={b}: not recognized")
+            if witness.map.b != b or witness.plane.q != q:
+                raise CriterionFailed(f"q={q} b={b}: recognized as q={witness.plane.q} b={witness.map.b}")
         return "9 blowups (q in {2,3,4}, b in {1,2,3}) sharp and recognized"
 
     return _run("criterion 4 blowup-sharpness", 60, body)
@@ -225,10 +246,13 @@ def criterion_5() -> CriterionResult:
         for g in coarsened_instances():
             best = max_partial_cover_distinct(g)
             bound = coverage_bound(g.n, g.r)
-            assert Fraction(best.covered_count) > bound, f"{best.covered_count} <= {bound}"
-            assert is_affine_blowup(g) is None, "coarsened graph recognized as blowup"
+            if Fraction(best.covered_count) <= bound:
+                raise CriterionFailed(f"{best.covered_count} <= {bound}")
+            if is_affine_blowup(g) is not None:
+                raise CriterionFailed(f"coarsened graph n={g.n} r={g.r} recognized as blowup")
             report = check_sharpness(g)
-            assert not report.is_sharp
+            if report.is_sharp:
+                raise CriterionFailed(f"coarsened graph n={g.n} r={g.r} reported sharp at {report.oracle_max}")
         return "50 coarsened blowups all strictly above the bound, none recognized"
 
     return _run("criterion 5 coarsened-not-sharp", 60, body)
@@ -268,10 +292,13 @@ def criterion_7() -> CriterionResult:
             h = gen_delta2(r, m, seed=7_000_000 + i, mode=modes[i % 4])
             cover = ryser_delta2(h, verify=False)
             covset = set(cover)
-            assert all(covset & e for e in h.edges), "not a cover"
+            missed = next((e for e in h.edges if not covset & e), None)
+            if missed is not None:
+                raise CriterionFailed(f"seed {7_000_000 + i}: cover {sorted(covset)} misses edge {sorted(missed)}")
             tau = tau_exact(h, max_vertices=80, max_edges=64)
             nu = nu_exact(h, max_vertices=80, max_edges=64)
-            assert tau <= len(cover) <= (r - 1) * nu, f"tau={tau} |T|={len(cover)} nu={nu} r={r}"
+            if not tau <= len(cover) <= (r - 1) * nu:
+                raise CriterionFailed(f"tau={tau} |T|={len(cover)} nu={nu} r={r}")
         return "300 instances, r in {3,4,5}, up to 12 edges"
 
     return _run("criterion 7 bounded-degree-cover", 60, body)
@@ -290,8 +317,12 @@ def criterion_8() -> CriterionResult:
             h, _ = gen_t_intersecting_hypergraph(r, t, m, class_size, seed=9_000_000 + i)
             _check_involution(h)
             hd = dual(h)
-            assert alpha_prime_exact(hd) == nu_exact(h)
-            assert rho_exact(hd) == tau_exact(h)
+            alpha_p, nu = alpha_prime_exact(hd), nu_exact(h)
+            if alpha_p != nu:
+                raise CriterionFailed(f"seed {9_000_000 + i}: alpha'(dual)={alpha_p} != nu={nu}")
+            rho, tau = rho_exact(hd), tau_exact(h)
+            if rho != tau:
+                raise CriterionFailed(f"seed {9_000_000 + i}: rho(dual)={rho} != tau={tau}")
             if h.m <= 8:
                 _check_gyarfas_correspondence(h)
         return "100 instances: involution exact, dual parameters match, correspondence exhaustive"
@@ -306,7 +337,8 @@ def _check_involution(h: Hypergraph) -> None:
         [[relabel[v] for v in e] for e in h.edges],
         vertices=relabel.values(),
     )
-    assert dual(dual(h)) == expected, "double dual differs from relabeled original"
+    if dual(dual(h)) != expected:
+        raise CriterionFailed("double dual differs from relabeled original")
 
 
 def _check_gyarfas_correspondence(h: Hypergraph) -> None:
@@ -317,13 +349,16 @@ def _check_gyarfas_correspondence(h: Hypergraph) -> None:
     class-c vertex stars.
     """
     g = gyarfas_graph(h)
-    assert isinstance(g, ColoredCompleteGraph), "intersecting instance gave a partial graph"
-    assert h.classes is not None
+    if not isinstance(g, ColoredCompleteGraph):
+        raise CriterionFailed("intersecting instance gave a partial graph")
+    if h.classes is None:
+        raise CriterionFailed("hypergraph has no classes")
     for i in range(h.m):
         for j in range(i + 1, h.m):
             for c in range(1, h.r + 1):
                 shared = h.edges[i] & h.edges[j] & h.classes[c - 1]
-                assert (c in g.col(i, j)) == bool(shared), f"pair ({i},{j}) color {c}"
+                if (c in g.col(i, j)) != bool(shared):
+                    raise CriterionFailed(f"pair ({i},{j}) color {c}")
     # nonempty class-c stars are disjoint and exhaust the edge indices, so
     # they must literally be the color-c component partition
     comps = monochromatic_components(g)
@@ -331,7 +366,8 @@ def _check_gyarfas_correspondence(h: Hypergraph) -> None:
         stars = {frozenset(i for i in range(h.m) if v in h.edges[i]) for v in h.classes[c - 1]}
         stars.discard(frozenset())
         got = set(comps.of_color(c))
-        assert got == stars, f"color {c}: components differ from stars"
+        if got != stars:
+            raise CriterionFailed(f"color {c}: components differ from stars")
 
 
 def criterion_9() -> CriterionResult:
@@ -341,7 +377,8 @@ def criterion_9() -> CriterionResult:
         for q in SUPPORTED_ORDERS:
             g1 = transitive_closure(gyarfas_graph(truncated_projective_plane(q)))
             g2 = blowup_graph(affine_plane(q), 1)
-            assert isomorphic_colored(g1, g2), f"q={q}: not isomorphic"
+            if not isomorphic_colored(g1, g2):
+                raise CriterionFailed(f"q={q}: not isomorphic")
         orders = ",".join(map(str, SUPPORTED_ORDERS))
         return f"round trip isomorphic with a checked witness for q in {{{orders}}}"
 

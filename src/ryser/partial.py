@@ -15,7 +15,12 @@ tries, in order:
         minimizing pair intersects, and for x in the intersection,
         C(x, [r] - {a}) misses only part of C - C';
       - pick (v, i) minimizing d_i(v) = #{u : col(uv) = {i}}; the cover
-        C(v, [r] - {i}) misses exactly those u.
+        C(v, [r] - {i}) misses exactly those u. The least key (d_i(v), i, v)
+        is searched over the smallest members of the full-color classes in
+        increasing order (d is constant on a class), each d_i(v) read from
+        v's component bitmasks; a key (0, 1, v) ends the search, as no
+        degree is below 0 and no color below 1, and every earlier vertex
+        has already been keyed.
       Whichever case hypothesis holds (k_max >= r-1 / all k_i <= r-1), its
       candidate meets the bound, so the max does.
 
@@ -60,6 +65,10 @@ class ColorStats:
 
 
 def color_stats(g: ColoredCompleteGraph) -> ColorStats:
+    """The counting data by definition, one pass over all n(n-1)/2 pairs.
+
+    verify_counting_identities and the tests read it; the constructions do
+    not (the min-degree candidate reads component bitmasks instead)."""
     index = monochromatic_components(g)
     k = tuple(index.k(c) for c in range(1, g.r + 1))
     gammas = tuple(index.sizes(c) for c in range(1, g.r + 1))
@@ -150,7 +159,7 @@ def _partial_candidates(g: ColoredCompleteGraph) -> ComponentCover:
         v = min(lonely)
         i = next(c for c in range(1, g.r + 1) if v in alone[c - 1])
         cover = components_of(g, v, [c for c in range(1, g.r + 1) if c != i])
-        assert cover.covered_count == g.n, "non-spanning shortcut must cover everything"
+        _require_spanning(g, cover, f"color {i} is missing at vertex {v}")
         return cover
     k = [index.k(c) for c in range(1, g.r + 1)]
     # (b) a spanning component: keep its color, drop any other
@@ -158,7 +167,7 @@ def _partial_candidates(g: ColoredCompleteGraph) -> ComponentCover:
         if ki == 1:
             j = next(c for c in range(1, g.r + 1) if c != i)
             cover = components_of(g, 0, [c for c in range(1, g.r + 1) if c != j])
-            assert cover.covered_count == g.n
+            _require_spanning(g, cover, f"color {i} has a single component")
             return cover
     if g.r == 2:
         # folklore: some color of a 2-coloring spans, so (a) or (b) returned
@@ -166,6 +175,15 @@ def _partial_candidates(g: ColoredCompleteGraph) -> ComponentCover:
     cand = [_candidate_component_pair(g, index, k), _candidate_min_degree(g)]
     cand.sort(key=lambda cv: -cv.covered_count)
     return cand[0]
+
+
+def _require_spanning(g: ColoredCompleteGraph, cover: ComponentCover, why: str) -> None:
+    """The spanning shortcuts (a) and (b) cover every vertex."""
+    if cover.covered_count != g.n:
+        raise RyserError(
+            f"internal invariant violated: {why}, yet the cover at vertex {cover.common_vertex} "
+            f"reaches {cover.covered_count} of {g.n} vertices"
+        )
 
 
 def _candidate_component_pair(g: ColoredCompleteGraph, index, k: list[int]) -> ComponentCover:
@@ -178,24 +196,43 @@ def _candidate_component_pair(g: ColoredCompleteGraph, index, k: list[int]) -> C
             key = (diff, min(ca), min(cb))
             if best is None or key < best[0]:
                 best = (key, ca, cb)
-    assert best is not None
-    _, ca, cb = best
+    (diff, min_a, min_b), ca, cb = best
     inter = ca & cb
     # a disjoint minimizing pair is impossible: C(x, b) for x in ca meets ca
-    assert inter, "minimizing component pair must intersect"
+    if not inter:
+        raise RyserError(
+            f"internal invariant violated: the components of colors ({a},{b}) at vertices "
+            f"{min_a} and {min_b} minimize |C - C'| = {diff} but are disjoint"
+        )
     x = min(inter)
     return components_of(g, x, [c for c in range(1, g.r + 1) if c != a])
 
 
 def _candidate_min_degree(g: ColoredCompleteGraph) -> ComponentCover:
-    st = color_stats(g)
-    best = None
-    for i in range(1, g.r + 1):
-        for v in range(g.n):
-            key = (st.d[i - 1][v], i, v)
-            if best is None or key < best:
-                best = key
-    assert best is not None
+    """C(v, [r] - {i}) for the least key (d_i(v), i, v).
+
+    u counts in d_i(v) when it lies in v's color-i component and in none of
+    v's other components, so d_i(v) is read off v's r component bitmasks,
+    and it is the same for every vertex of v's full-color class: only each
+    class's smallest member is keyed, in increasing order, and the search
+    ends at the first key (0, 1, v), which nothing can beat."""
+    masks: dict[tuple[int, int], int] = {}  # (color, label) -> component bitmask
+    best = (g.n, 0, 0)  # above every key: d_i(v) < n
+    for v in (members[0] for members in full_color_classes(g).values()):
+        comps = []
+        for c in range(1, g.r + 1):
+            key = (c, g.labels[c - 1][v])
+            if key not in masks:
+                masks[key] = vertex_mask(g.component_of(v, c))
+            comps.append(masks[key])
+        once = twice = 0
+        for m in comps:
+            twice |= once & m
+            once |= m
+        for i, m in enumerate(comps, start=1):
+            best = min(best, ((m & ~twice).bit_count(), i, v))
+        if best[:2] == (0, 1):
+            break
     _, i, v = best
     return components_of(g, v, [c for c in range(1, g.r + 1) if c != i])
 

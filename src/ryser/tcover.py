@@ -1,11 +1,14 @@
 """Cover a transitive coloring where every pair carries >= t colors by at
 most r - t monochromatic components, assuming r - 1 >= t > r/4.
 
-The construction is a dispatcher:
+The construction first contracts the full-color classes, once: a pair
+inside a class carries all r > t colors and any other pair the colors of its
+classes' smallest members, so the >= t hypothesis is checked on the
+quotient's distinct pair masks (g is scanned only to name the first short
+pair). The quotient, which has no full-color pair, is covered by a
+dispatcher on the same masks and the cover is lifted back:
 
   * n <= 2: one component suffices.
-  * some pair carries all r colors: contract full-color classes, recurse,
-    lift the cover back.
   * some pair xy carries strictly between t and r colors: cover from the
     pair. With l = |col(xy)|, either r <= t + l and the components of x in
     the r - t smallest colors of col(xy) work, or j = floor((r-t-l)/2) extra
@@ -21,7 +24,9 @@ The construction is a dispatcher:
     recipe of at most 3t - 1 = r - t components.
 
 Every branch re-verifies coverage and raises HypothesisViolation with a
-vertex witness if the input secretly breaches the hypotheses.
+vertex witness if the input secretly breaches the hypotheses; part budgets
+and the split invariants raise RyserError naming their values, never by
+assert, so they also hold under python -O.
 """
 
 from __future__ import annotations
@@ -81,12 +86,6 @@ def _check_common(g: ColoredCompleteGraph, t: int) -> None:
         raise PreconditionError(f"need 1 <= t <= r-1, got t={t}, r={g.r}")
     if 4 * t <= g.r:
         raise PreconditionError(f"need t > r/4, got t={t}, r={g.r}")
-    if all(x.bit_count() >= t for x in g.pair_masks()):
-        return
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if g.masks[u][v].bit_count() < t:
-                raise PreconditionError(f"pair ({u},{v}) carries fewer than t={t} colors")
 
 
 def plan_lemma(r: int, t: int, colors_xy: tuple[int, ...], x: int = 0, y: int = 1) -> LemmaPlan:
@@ -115,7 +114,8 @@ def plan_lemma(r: int, t: int, colors_xy: tuple[int, ...], x: int = 0, y: int = 
     outside = tuple(c for c in range(1, r + 1) if c not in set(I))
     J = outside[:j]
     plan = LemmaPlan(x, y, ell, "I-plus-balanced-J", I, J, j)
-    assert plan.part_budget <= r - t
+    if plan.part_budget > r - t:
+        raise RyserError(f"internal invariant violated: plan needs {plan.part_budget} parts > r-t={r - t}: {plan}")
     return plan
 
 
@@ -140,7 +140,8 @@ def lemma_cover(g: ColoredCompleteGraph, t: int, x: int, y: int) -> ComponentCov
             f"pair-based cover missed vertex {w}: col(x,w)={sorted(g.col(x, w))}, "
             f"col(y,w)={sorted(g.col(y, w))}, plan={plan}"
         )
-    assert cover.size <= g.r - t
+    if cover.size > g.r - t:
+        raise RyserError(f"internal invariant violated: pair cover has {cover.size} parts > r-t={g.r - t}, plan={plan}")
     return cover
 
 
@@ -166,19 +167,21 @@ def triangle_partition(g: ColoredCompleteGraph, t: int, tri: tuple[int, int, int
     cxy, cyz, cxz = g.col(x, y), g.col(y, z), g.col(x, z)
     K = cxy & cyz & cxz
     # transitivity collapses pairwise intersections onto K
-    assert cxy & cyz == K and cyz & cxz == K and cxy & cxz == K
+    if not cxy & cyz == cyz & cxz == cxy & cxz == K:
+        raise HypothesisViolation(
+            f"triangle {tri} is not transitive: col(x,y)={sorted(cxy)}, col(y,z)={sorted(cyz)}, "
+            f"col(x,z)={sorted(cxz)} meet in more than their common colors {sorted(K)}"
+        )
     X = cyz - K
     Y = cxz - K
     Z = cxy - K
     if not (len(cxy) == len(cyz) == len(cxz) == t):
         raise PreconditionError("witness triangle edges must carry exactly t colors")
     S = frozenset(range(1, g.r + 1)) - (K | X | Y | Z)
-    part = TrianglePartition(
+    return TrianglePartition(
         x, y, z, len(K),
         tuple(sorted(K)), tuple(sorted(X)), tuple(sorted(Y)), tuple(sorted(Z)), tuple(sorted(S)),
     )
-    assert len(part.X) == len(part.Y) == len(part.Z) == t - part.k
-    return part
 
 
 def _pairing_cover(g: ColoredCompleteGraph, t: int) -> ComponentCover:
@@ -200,7 +203,8 @@ def _pairing_cover(g: ColoredCompleteGraph, t: int) -> ComponentCover:
         c = min(g.col(v - 1, v))
         parts.append((c, g.component_of(v, c)))
     cover = ComponentCover.build(parts)
-    assert cover.size <= (g.r + 2) // 2 <= g.r - t
+    if cover.size > (g.r + 2) // 2:
+        raise RyserError(f"internal invariant violated: pairing cover has {cover.size} parts > (r+2)/2={(g.r + 2) // 2}")
     return cover
 
 
@@ -211,7 +215,8 @@ def _take(budget: int, *pools: tuple[int, ...]) -> list[tuple[int, ...]]:
         take = min(budget, len(pool))
         out.append(pool[:take])
         budget -= take
-    assert budget == 0
+    if budget:
+        raise RyserError(f"internal invariant violated: pools {pools} leave {budget} color slots unfilled")
     return out
 
 
@@ -224,7 +229,8 @@ def triangle_case_cover(
     if k == 0:
         return _pairing_cover(g, t)
     part = triangle_partition(g, t, tri)
-    assert part.k == k
+    if part.k != k:
+        raise PreconditionError(f"triangle {tri} shares {part.k} colors, not k={k}")
     x, y, z = part.x, part.y, part.z
     if 3 * k <= t:
         yz_budget = t + k - 1
@@ -252,7 +258,8 @@ def triangle_case_cover(
             f"col(y,w)={sorted(cyw)}, col(z,w)={sorted(czw)}, split={part}, "
             f"|col(y,w) & col(z,w)| <= k holds: {overlap_ok}"
         )
-    assert cover.size <= 3 * t - 1
+    if cover.size > 3 * t - 1:
+        raise RyserError(f"internal invariant violated: triangle cover has {cover.size} parts > 3t-1={3 * t - 1}, split={part}")
     return cover
 
 
@@ -272,21 +279,33 @@ def cover_t(g: ColoredCompleteGraph, t: int, trace: Optional[list[str]] = None) 
 
 
 def _dispatch(g: ColoredCompleteGraph, t: int, trace: list[str]) -> ComponentCover:
+    """Contract once, check the >= t hypothesis on the quotient, cover the
+    quotient and lift the cover back."""
+    quotient, mapping = contract_full_color_classes(g)
+    # a pair inside a class carries all r > t colors, any other pair the
+    # mask of its classes' smallest members: the quotient's distinct masks
+    values = quotient.pair_masks()
+    if any(x.bit_count() < t for x in values):
+        u, v = next((u, v) for u in range(g.n) for v in range(u + 1, g.n) if g.masks[u][v].bit_count() < t)
+        raise PreconditionError(f"pair ({u},{v}) carries fewer than t={t} colors")
+    if quotient is g:
+        return _cover_quotient(g, t, values, trace)
+    trace.append(f"contracted {g.n} -> {quotient.n} vertices")
+    return lift_cover(_cover_quotient(quotient, t, values, trace), mapping)
+
+
+def _cover_quotient(g: ColoredCompleteGraph, t: int, values: set[int], trace: list[str]) -> ComponentCover:
+    """Cover a graph with no full-color pair; values are its pair masks."""
     if g.n <= 2:
         c = 1 if g.n == 1 else min(g.col(0, 1))
         trace.append(f"base case n={g.n}: single component of color {c}")
         return ComponentCover.build([(c, g.component_of(0, c))])
-    contracted, mapping = contract_full_color_classes(g)
-    if contracted.n < g.n:
-        trace.append(f"contracted {g.n} -> {contracted.n} vertices")
-        sub = _dispatch(contracted, t, trace)
-        lifted = lift_cover(sub, mapping)
-        assert lifted.size == sub.size
-        return lifted
-    values = g.pair_masks()
-    assert (1 << g.r) - 1 not in values
-    if any(t < x.bit_count() < g.r for x in values):
-        mixed = next((u, v) for u in range(g.n) for v in range(u + 1, g.n) if t < g.masks[u][v].bit_count() < g.r)
+    full = (1 << g.r) - 1
+    if full in values:
+        u, v = next((u, v) for u in range(g.n) for v in range(u + 1, g.n) if g.masks[u][v] == full)
+        raise RyserError(f"internal invariant violated: pair ({u},{v}) of the quotient carries all {g.r} colors")
+    if any(t < x.bit_count() for x in values):
+        mixed = next((u, v) for u in range(g.n) for v in range(u + 1, g.n) if t < g.masks[u][v].bit_count())
         trace.append(f"pair {mixed} carries {g.masks[mixed[0]][mixed[1]].bit_count()} > t colors")
         return lemma_cover(g, t, *mixed)
     # every pair carries exactly t colors from here on

@@ -12,6 +12,7 @@ from ryser import (
     blowup_graph,
     check_sharpness,
     color_stats,
+    components_of,
     coverage_bound,
     gen_transitive_colored,
     is_affine_blowup,
@@ -20,6 +21,7 @@ from ryser import (
     verify_counting_identities,
 )
 from ryser.errors import PreconditionError, RyserError
+from ryser.partial import _candidate_min_degree
 
 
 def _mask_graph(n, r, pairs):
@@ -82,6 +84,66 @@ def test_counting_identities_random(n, r, seed):
     # row sums: every color's components partition V
     for c in range(1, r + 1):
         assert sum(stats.gammas[c - 1]) == n
+
+
+@st.composite
+def _cloned_colorings(draw):
+    """A label-built coloring with planted clone classes: r - 1 random
+    partitions of up to 20 base vertices, a last color whose blocks join
+    every pair sharing none of them, and each base vertex copied 1-3 times,
+    in shuffled order (n <= 40)."""
+    rng = draw(st.randoms(use_true_random=False))
+    r = draw(st.integers(2, 8))
+    base = draw(st.integers(2, 20))
+    labels = [[rng.randrange(rng.randint(1, base)) for _ in range(base)] for _ in range(r - 1)]
+    parent = list(range(base))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for u in range(base):
+        for v in range(u + 1, base):
+            if all(row[u] != row[v] for row in labels):
+                parent[find(v)] = find(u)
+    labels.append([find(v) for v in range(base)])
+    copies = [v for v in range(base) for _ in range(rng.randint(1, 3))]
+    rng.shuffle(copies)
+    return ColoredCompleteGraph.from_labels([[row[v] for v in copies[:40]] for row in labels])
+
+
+@st.composite
+def _shuffled_blowups(draw):
+    """Affine-plane blowups, q in {2,3,4,5}, n <= 40, vertices shuffled. For
+    q >= 3 two lines of one color may be merged: a pair across them gains
+    that color, which leaves every d_i(v) > 0 but no longer all equal."""
+    q = draw(st.sampled_from([2, 3, 4, 5]))
+    g = blowup_graph(affine_plane(q), draw(st.integers(1, 40 // (q * q))))
+    if q >= 3 and draw(st.booleans()):
+        g = merge_color_components(g, draw(st.integers(1, q + 1)), 0, 1)
+    order = draw(st.permutations(range(g.n)))
+    return ColoredCompleteGraph.from_labels([[row[v] for v in order] for row in g.labels])
+
+
+def _least_degree_cover(g):
+    """C(v, [r] - {i}) for the least (d_i(v), i, v) over all colors and vertices."""
+    d = color_stats(g).d
+    _, i, v = min((d[i - 1][v], i, v) for i in range(1, g.r + 1) for v in range(g.n))
+    return components_of(g, v, [c for c in range(1, g.r + 1) if c != i])
+
+
+@given(_cloned_colorings())
+@settings(max_examples=150, deadline=None)
+def test_min_degree_candidate_is_the_least_key(g):
+    assert _candidate_min_degree(g) == _least_degree_cover(g)
+
+
+@given(_shuffled_blowups())
+@settings(max_examples=40, deadline=None)
+def test_min_degree_candidate_when_no_degree_is_zero(g):
+    assert min(map(min, color_stats(g).d)) > 0  # the search runs over every class
+    assert _candidate_min_degree(g) == _least_degree_cover(g)
 
 
 def test_color_stats_on_blowup():

@@ -163,3 +163,39 @@ def test_trace_names_the_route():
     cover_t(g, 2, trace=trace)
     assert trace  # at least one dispatch step recorded
     assert all(isinstance(s, str) for s in trace)
+    # vertex 12 clones vertex 0: one full-color pair, contracted once
+    cloned = ColoredCompleteGraph.from_labels([row + (row[0],) for row in g.labels])
+    trace = []
+    cover = cover_t(cloned, 2, trace=trace)
+    assert [s for s in trace if s.startswith("contracted")] == ["contracted 13 -> 12 vertices"]
+    assert is_valid_component_cover(cloned, cover) and cover.size <= 5
+
+
+# colors of the base pairs: (0,1) {1,2}, (0,2) {1}, (1,2) {1,3}
+_SHORT_BASE = ([0, 0, 0], [0, 0, 2], [0, 1, 1])
+
+
+def _first_short_pair(g, t):
+    return next((u, v) for u in range(g.n) for v in range(u + 1, g.n) if g.masks[u][v].bit_count() < t)
+
+
+def test_short_pair_is_named_by_its_vertices_in_g():
+    """Clone classes {0,1}, {2,4}, {3,5}: the quotient's short pair (1,2) is
+    g's pair (2,3). A pair through a clone has the same colors as the pair
+    through its class's smallest member, so the first short pair always
+    joins two smallest members; it must be named in g's vertices."""
+    g = ColoredCompleteGraph.from_labels([[row[v] for v in (1, 1, 0, 2, 0, 2)] for row in _SHORT_BASE])
+    assert _first_short_pair(g, 2) == (2, 3)
+    with pytest.raises(PreconditionError, match=r"^pair \(2,3\) carries fewer than t=2 colors$"):
+        cover_t(g, 2)
+
+
+@given(st.randoms(use_true_random=False))
+@settings(max_examples=40, deadline=None)
+def test_short_pair_matches_a_scan_of_g(rng):
+    copies = [v for v in range(3) for _ in range(rng.randint(1, 4))]
+    rng.shuffle(copies)
+    g = ColoredCompleteGraph.from_labels([[row[v] for v in copies] for row in _SHORT_BASE])
+    u, v = _first_short_pair(g, 2)
+    with pytest.raises(PreconditionError, match=rf"^pair \({u},{v}\) carries fewer than t=2 colors$"):
+        cover_t(g, 2)
