@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .colored import ColoredCompleteGraph
+from .colored import MAX_COLORS, ColoredCompleteGraph, _blocks
 from .errors import PreconditionError, RyserError
 from .hypergraph import Hypergraph
 
@@ -55,65 +55,86 @@ class SplitMix64:
 def gen_transitive_colored(n: int, r: int, min_colors: int, seed: int) -> ColoredCompleteGraph:
     """Random transitive coloring in which every pair has >= min_colors colors.
 
-    Each color starts as a random partition of the vertices; while some pair
-    is short of colors, the lexicographically first deficient pair has its
-    two blocks merged in the color where the merge helps the most deficient
-    pairs (ties to the lowest color). Each merge fixes the chosen pair in
-    one color, so the loop terminates; a 10*r*n iteration guard catches
-    regressions.
+    Each color starts as a random partition of the vertices. While some pair
+    is short (shares fewer than min_colors colors), the lexicographically
+    first short pair u < v has its two blocks merged in the color where the
+    merge fixes the most short pairs, ties to the lowest color.
+
+    count[v] packs one byte field per vertex w, holding 128 - min_colors
+    plus the number of colors v and w share, so a field's top bit is set iff
+    the pair has enough colors (fields stay below 256 for r <= 30). A merge
+    of blocks S and T in color c adds T's packed indicator to count[w] for
+    each w in S, and S's for each w in T.
+    - First short pair: counts only grow, so it only moves forward. A
+      cursor over u reads the lowest clear top bit above u in count[u];
+      the cursor passes each u once.
+    - Score of color c: the number of short pairs between u's and v's
+      blocks, one popcount per member of the smaller block against the
+      larger block's top bits.
+    Only the partition matters (blocks are relabeled by their smallest
+    vertex at the end), so the smaller block takes the larger one's label.
+    Each merge gives the chosen pair one more color, so the loop terminates;
+    a 10*r*n + 10 iteration guard raises RyserError on a regression.
     """
     if n < 2:
         raise PreconditionError("need n >= 2")
+    if not 1 <= r <= MAX_COLORS:
+        raise PreconditionError(f"r must be in 1..{MAX_COLORS}, got {r}")
     if not 1 <= min_colors < r:
         raise PreconditionError(f"need 1 <= min_colors < r, got {min_colors}, r={r}")
     rng = SplitMix64(seed)
-    block = []
+    labels = []
     for _ in range(r):
         nblocks = 1 + rng.randrange(n)
-        block.append([rng.randrange(nblocks) for _ in range(n)])
-
-    count = [[0] * n for _ in range(n)]  # shared colors per pair, u < v
-    deficient: set[tuple[int, int]] = set()
-    for u in range(n):
-        for v in range(u + 1, n):
-            c = sum(1 for cc in range(r) if block[cc][u] == block[cc][v])
-            count[u][v] = c
-            if c < min_colors:
-                deficient.add((u, v))
+        labels.append([rng.randrange(nblocks) for _ in range(n)])
+    members = [_blocks(row) for row in labels]
+    # packed[c][x]: a 1 in the byte field of each member of color c's block x
+    packed = [{x: sum(1 << 8 * v for v in vs) for x, vs in b.items()} for b in members]
+    ones = int.from_bytes(b"\x01" * n, "little")
+    top = ones << 7
+    base = (128 - min_colors) * ones
+    count = [base + sum(packed[c][labels[c][v]] for c in range(r)) for v in range(n)]
 
     guard = 10 * r * n + 10
     iters = 0
-    while deficient:
+    u = 0
+    while True:
+        while u < n - 1:
+            short = (top & ~count[u]) >> 8 * (u + 1)
+            if short:
+                break
+            u += 1
+        else:
+            break
         iters += 1
         if iters > guard:
             raise RyserError("repair loop exceeded its iteration guard")
-        u, v = min(deficient)
-        best = None
+        v = u + (short & -short).bit_length() // 8
+        # u, v share fewer than min_colors < r colors, so some color
+        # separates them and scores at least 1 (the pair itself)
+        best, best_c = 0, 0
         for c in range(r):
-            bu, bv = block[c][u], block[c][v]
-            if bu == bv:
+            xu, xv = labels[c][u], labels[c][v]
+            if xu == xv:
                 continue
-            gain = 0
-            for a, b in deficient:
-                x, y = block[c][a], block[c][b]
-                if (x == bu and y == bv) or (x == bv and y == bu):
-                    gain += 1
-            if best is None or gain > best[0]:
-                best = (gain, c)
-        assert best is not None
-        _, c = best
-        bu, bv = block[c][u], block[c][v]
-        src = [w for w in range(n) if block[c][w] == bu]
-        dst = [w for w in range(n) if block[c][w] == bv]
-        for w in dst:
-            block[c][w] = bu
-        for a in src:
-            for b in dst:
-                x, y = (a, b) if a < b else (b, a)
-                count[x][y] += 1
-                if count[x][y] == min_colors:
-                    deficient.discard((x, y))
-    return ColoredCompleteGraph.from_labels(block)
+            if len(members[c][xu]) > len(members[c][xv]):
+                xu, xv = xv, xu
+            other = packed[c][xv] << 7
+            gain = sum((other & ~count[w]).bit_count() for w in members[c][xu])
+            if gain > best:
+                best, best_c = gain, c
+        c = best_c
+        keep, gone = labels[c][u], labels[c][v]
+        if len(members[c][keep]) < len(members[c][gone]):
+            keep, gone = gone, keep
+        for w in members[c][keep]:
+            count[w] += packed[c][gone]
+        for w in members[c][gone]:
+            count[w] += packed[c][keep]
+            labels[c][w] = keep
+        members[c][keep] += members[c].pop(gone)
+        packed[c][keep] += packed[c].pop(gone)
+    return ColoredCompleteGraph.from_labels(labels)
 
 
 def gen_t_intersecting_hypergraph(
@@ -207,8 +228,12 @@ def gen_delta2(r: int, m: int, seed: int, mode: str = "mixed") -> Hypergraph:
             open_vertices += e[len(chosen):]
             edges.append(e)
     h = Hypergraph(r, edges)
-    assert all(len(e) == r for e in h.edges)
-    assert h.max_degree() <= 2
+    for e in h.edges:
+        if len(e) != r:
+            raise RyserError(f"internal invariant violated: edge {sorted(e)} has {len(e)} vertices, not r={r}")
+    for v, d in h.degrees().items():
+        if d > 2:
+            raise RyserError(f"internal invariant violated: vertex {v} lies in {d} edges")
     return h
 
 

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from ryser import cli
+from ryser import cli, gen_transitive_colored, parse_cgf
 
 PY = [sys.executable, "-m", "ryser.cli"]
 
@@ -143,6 +143,12 @@ def test_non_utf8_file_exit_2(tmp_path, capsys):
     assert cli.main(["analyze", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_gen_random_colored_at_n400_in_process(capsys):
+    argv = ["gen", "random-colored", "--n", "400", "--r", "7", "--min-colors", "2", "--seed", "1"]
+    assert cli.main(argv) == 0
+    assert parse_cgf(capsys.readouterr().out) == gen_transitive_colored(400, 7, 2, 1)
 
 
 def test_import_does_not_load_networkx():

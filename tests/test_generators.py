@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from ryser import (
     ColoredCompleteGraph,
     GenConfig,
+    Hypergraph,
     SplitMix64,
     dual,
     gen_delta2,
@@ -15,12 +16,14 @@ from ryser import (
     gen_transitive_colored,
     generate,
     gyarfas_graph,
+    parse_cgf,
     to_cgf,
     to_hgf,
     validate,
 )
+from ryser import generators
 from ryser.delta2 import reduce_dual
-from ryser.errors import PreconditionError
+from ryser.errors import PreconditionError, RyserError
 from ryser.hypergraph import intersection_level
 
 
@@ -170,3 +173,90 @@ def test_genconfig_rejects_bad_field_sets():
         generate(GenConfig("random-hyp", 0, r=4, t=2, m=3))  # class_size missing
     with pytest.raises(PreconditionError):
         generate(GenConfig("random-delta2", 0, r=3, m=2, mode="chain", t=1))  # stray t
+
+
+# reference repair loop: each step takes min(deficient) and, per color,
+# rescans every deficient pair; gen_transitive_colored must match it exactly
+
+
+def _reference_transitive_labels(n, r, min_colors, seed):
+    rng = SplitMix64(seed)
+    block = []
+    for _ in range(r):
+        nblocks = 1 + rng.randrange(n)
+        block.append([rng.randrange(nblocks) for _ in range(n)])
+    count = [[0] * n for _ in range(n)]
+    deficient = set()
+    for u in range(n):
+        for v in range(u + 1, n):
+            c = sum(1 for cc in range(r) if block[cc][u] == block[cc][v])
+            count[u][v] = c
+            if c < min_colors:
+                deficient.add((u, v))
+    while deficient:
+        u, v = min(deficient)
+        best = None
+        for c in range(r):
+            bu, bv = block[c][u], block[c][v]
+            if bu == bv:
+                continue
+            gain = 0
+            for a, b in deficient:
+                x, y = block[c][a], block[c][b]
+                if (x == bu and y == bv) or (x == bv and y == bu):
+                    gain += 1
+            if best is None or gain > best[0]:
+                best = (gain, c)
+        _, c = best
+        bu, bv = block[c][u], block[c][v]
+        src = [w for w in range(n) if block[c][w] == bu]
+        dst = [w for w in range(n) if block[c][w] == bv]
+        for w in dst:
+            block[c][w] = bu
+        for a in src:
+            for b in dst:
+                x, y = (a, b) if a < b else (b, a)
+                count[x][y] += 1
+                if count[x][y] == min_colors:
+                    deficient.discard((x, y))
+    return block
+
+
+@pytest.mark.parametrize("r", range(2, 9))
+def test_transitive_colored_matches_the_reference_loop(r):
+    for min_colors in range(1, r):
+        for i, n in enumerate((2, 3, 5, 8, 13, 21, 31, 44, 60)):
+            seed = 1000 * r + 10 * min_colors + i
+            got = gen_transitive_colored(n, r, min_colors, seed).labels
+            want = ColoredCompleteGraph.from_labels(_reference_transitive_labels(n, r, min_colors, seed)).labels
+            assert got == want, (n, r, min_colors, seed)
+
+
+def test_transitive_colored_matches_the_reference_loop_at_30_colors():
+    # a pair's packed count field peaks at 128 - min_colors + 30 < 256
+    for n, min_colors in ((9, 1), (9, 29), (25, 15), (25, 29)):
+        got = gen_transitive_colored(n, 30, min_colors, n + min_colors).labels
+        want = ColoredCompleteGraph.from_labels(_reference_transitive_labels(n, 30, min_colors, n + min_colors)).labels
+        assert got == want, (n, min_colors)
+
+
+def test_transitive_colored_at_n300_is_transitive_with_two_colors_everywhere():
+    g = parse_cgf(to_cgf(gen_transitive_colored(300, 7, 2, seed=1)))
+    assert g.transitive
+    assert min(m.bit_count() for u, row in enumerate(g.masks) for m in row[u + 1:]) >= 2
+
+
+def test_transitive_colored_checks_r_before_drawing(monkeypatch):
+    def refuse(seed):
+        raise AssertionError("the generator drew randomness before checking r")
+
+    monkeypatch.setattr(generators, "SplitMix64", refuse)
+    with pytest.raises(PreconditionError, match="r must be in 1..30, got 40"):
+        gen_transitive_colored(5, 40, 2, 0)
+
+
+def test_delta2_invariant_failure_names_the_vertex(monkeypatch):
+    degrees = Hypergraph.degrees
+    monkeypatch.setattr(Hypergraph, "degrees", lambda h: {**degrees(h), "v0": 3})
+    with pytest.raises(RyserError, match="vertex v0 lies in 3 edges"):
+        gen_delta2(3, 4, seed=1, mode="chain")

@@ -6,7 +6,7 @@ import sys
 _PLANTED = """
 from dataclasses import replace
 
-from ryser import ColoredCompleteGraph, Hypergraph, cover_t, gen_transitive_colored, partial_cover_distinct
+from ryser import ColoredCompleteGraph, Hypergraph, cover_t, gen_delta2, gen_transitive_colored, partial_cover_distinct
 from ryser import delta2, partial, tcover, verify_counting_identities
 from ryser.colored import ComponentCover, monochromatic_components
 from ryser.errors import RyserError
@@ -26,6 +26,17 @@ clones = ColoredCompleteGraph.from_labels([[0, 0, 0, 0], [0, 0, 1, 1], [0, 0, 1,
 tcover.contract_full_color_classes = lambda g: (g, None)  # nothing contracts
 lonely = ColoredCompleteGraph.from_labels([[0] * 8, [0] * 8, [0] * 7 + [7]])  # 7 is alone in color 3
 partial.components_of = lambda g, x, cs: ComponentCover.build([(c, s - {0}) for c, s in spans(g, x, cs).parts], x)
+degrees = Hypergraph.degrees
+
+
+def overfull():
+    Hypergraph.degrees = lambda h: {**degrees(h), "v0": 3}  # v0 claims a third edge
+    try:
+        gen_delta2(3, 4, seed=1, mode="chain")
+    finally:
+        Hypergraph.degrees = degrees
+
+
 runs = (
     ("cover_t", lambda: cover_t(g, 2)),
     ("partial", lambda: partial_cover_distinct(g)),
@@ -33,6 +44,7 @@ runs = (
     ("delta2", lambda: delta2.ryser_delta2(Hypergraph(3, [["a", "b", "c"]]))),
     ("quotient", lambda: dispatch(clones, 1, [])),
     ("shortcut", lambda: candidates(lonely)),
+    ("gen_delta2", overfull),
 )
 for name, run in runs:
     try:
@@ -55,6 +67,7 @@ def test_planted_guarantee_failures_raise_under_dash_o():
     assert lines[4] == "quotient raised: internal invariant violated: pair (0,1) of the quotient carries all 3 colors", lines
     assert lines[5].startswith("shortcut raised:") and "color 3 is missing at vertex 7" in lines[5], lines
     assert lines[5].endswith("reaches 7 of 8 vertices"), lines
+    assert lines[6] == "gen_delta2 raised: internal invariant violated: vertex v0 lies in 3 edges", lines
 
 
 _CRITERION = """
